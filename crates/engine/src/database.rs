@@ -24,7 +24,7 @@ use olxp_storage::{
     Replicator, Row, RowTable, StorageError, TableCheckpoint, TableSchema, Timestamp, Wal, WalOp,
     WalRecord,
 };
-use olxp_trace::{TelemetryPoint, TelemetryServer};
+use olxp_trace::{SpanCategory, TelemetryPoint, TelemetryServer};
 use olxp_txn::TransactionManager;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::collections::hash_map::DefaultHasher;
@@ -560,7 +560,7 @@ impl HybridDatabase {
     }
 
     /// One shard's partition of a table.
-    fn row_partition(&self, shard: usize, table: &str) -> EngineResult<Arc<RowTable>> {
+    pub(crate) fn row_partition(&self, shard: usize, table: &str) -> EngineResult<Arc<RowTable>> {
         self.shards[shard]
             .row_tables
             .read()
@@ -638,6 +638,16 @@ impl HybridDatabase {
     /// acquire in ascending shard order.
     pub(crate) fn commit_gate_read_for(&self, shard: usize) -> RwLockReadGuard<'_, ()> {
         self.shards[shard].commit_gate.read()
+    }
+
+    /// Exclusive hold on one shard's commit gate: stalls that shard's
+    /// durable commits (tests use it to make a commit deterministically slow).
+    #[cfg(test)]
+    pub(crate) fn commit_gate_write_for(
+        &self,
+        shard: usize,
+    ) -> parking_lot::RwLockWriteGuard<'_, ()> {
+        self.shards[shard].commit_gate.write()
     }
 
     /// One shard's replication log.
@@ -1440,33 +1450,22 @@ fn spawn_applier(
                 // batch: it starts when the oldest record in the batch was
                 // appended (the lag a freshness-bounded reader would wait
                 // out), not when the applier picked it up.
-                let trace_from = if olxp_trace::enabled() {
-                    let now = olxp_trace::now_nanos();
-                    let age = log
-                        .oldest_pending_age()
-                        .map_or(0, |age| age.as_nanos() as u64);
-                    Some(now.saturating_sub(age))
-                } else {
-                    None
-                };
+                let mut span = olxp_trace::span(SpanCategory::ReplicationApply, shard as u32, 0);
+                if span.is_armed() {
+                    let age = log.oldest_pending_age().unwrap_or_default();
+                    span = span.backdate(age.as_nanos() as u64);
+                }
                 let result = replicator.lock().apply_pending(batch);
                 match result {
                     Ok(0) => {
+                        span.cancel();
                         log.wait_for_pending(idle_wait);
                     }
                     Ok(applied) => {
                         metrics.add_replication_applied(applied as u64);
-                        if let Some(start) = trace_from {
-                            olxp_trace::record_span(
-                                olxp_trace::SpanCategory::ReplicationApply,
-                                shard as u32,
-                                applied as u64,
-                                start,
-                            );
-                            metrics.record_stage(
-                                olxp_trace::SpanCategory::ReplicationApply,
-                                olxp_trace::now_nanos().saturating_sub(start),
-                            );
+                        if span.is_armed() {
+                            span.retag(shard as u32, applied as u64);
+                            metrics.record_stage(SpanCategory::ReplicationApply, span.finish());
                         }
                         // Applied mutations grow delta tails: give the
                         // compactor a chance to seal any chunk they filled.
@@ -1474,6 +1473,7 @@ fn spawn_applier(
                         backoff = initial_backoff;
                     }
                     Err(_) => {
+                        span.cancel();
                         metrics.add_replication_error();
                         std::thread::sleep(backoff);
                         backoff = (backoff * 2).min(max_backoff);
@@ -1516,23 +1516,12 @@ fn spawn_compactor(
                     }
                     // One `compact_chunk` call per chunk: each takes the
                     // table's write lock once, so readers and the applier
-                    // interleave with the rewrite — and each seal/encode
-                    // gets its own stage-histogram entry while tracing.
+                    // interleave with the rewrite — and each traced seal
+                    // (nonzero duration) gets its own stage-histogram entry.
                     let mut chunks = 0u64;
-                    loop {
-                        let trace_from = if olxp_trace::enabled() {
-                            Some(olxp_trace::now_nanos())
-                        } else {
-                            None
-                        };
-                        if !table.compact_chunk() {
-                            break;
-                        }
-                        if let Some(start) = trace_from {
-                            metrics.record_stage(
-                                olxp_trace::SpanCategory::Compaction,
-                                olxp_trace::now_nanos().saturating_sub(start),
-                            );
+                    while let Some(nanos) = table.compact_chunk() {
+                        if nanos > 0 {
+                            metrics.record_stage(SpanCategory::Compaction, nanos);
                         }
                         chunks += 1;
                         if stop.load(Ordering::Acquire) {

@@ -23,8 +23,11 @@ use crate::metrics::{FreshnessSample, WorkClass};
 use olxp_query::{
     execute_with, ColumnSource, ExecOptions, ExecStats, Plan, QueryOutput, ShardedRowSource,
 };
-use olxp_storage::{Key, Row, StorageError, StorageMedium, Value, WalOp};
-use olxp_txn::{IsolationLevel, Transaction, TxnError, WriteOp};
+use olxp_storage::{
+    Key, MutationOp, Row, StorageError, StorageMedium, Timestamp, Value, Wal, WalOp,
+};
+use olxp_trace::{SpanCategory, SpanGuard};
+use olxp_txn::{IsolationLevel, Transaction, TxnError};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,441 +97,196 @@ impl Session {
         }
     }
 
-    /// Commit a transaction: validate (under snapshot isolation), install the
-    /// write set into the owning shards' row-table partitions, ship it to the
-    /// per-shard replication logs and pay the write plus two-phase-commit
-    /// cost.
+    /// Commit a transaction.
     ///
-    /// A transaction whose write set touches a single shard commits entirely
-    /// within that shard: its gate, its WAL stream, its fsync queue — no
-    /// global coordination.  A cross-shard transaction runs two-phase commit:
-    /// mutations and a Prepare record are logged on every touched shard and
-    /// forced durable *before* the single commit timestamp is considered
-    /// decided, then a Commit marker keyed by the global transaction id is
-    /// logged on every shard.  Recovery replays a prepared transaction iff
-    /// any shard's stream holds its Commit marker, so a crash between one
-    /// shard's marker and another's can never half-commit.
+    /// The write set is taken out of the transaction and grouped by owning
+    /// shard once (ascending, statement order kept within a shard); then:
     ///
-    /// On a durable engine the commit blocks until its commit markers are
-    /// durable per the configured [`olxp_storage::SyncPolicy`].  A WAL I/O
-    /// failure *after* the write set has been installed finishes the commit
-    /// in memory (the installed and replicated effects cannot be undone) and
-    /// returns the storage error: such an error means the commit's durability
-    /// is unknown and the engine's disk should be treated as failed — it is
-    /// not retryable.
+    /// 1. **validate** — snapshot isolation's first committer wins;
+    /// 2. **timestamp** — a durable engine takes each touched shard's commit
+    ///    gate for read before allocating the commit timestamp and holds it
+    ///    through the markers, so a checkpoint's `(commit_ts, LSN)` cut never
+    ///    splits a transaction's timestamp from its WAL records;
+    /// 3. **log** — each shard logs `Begin` plus its mutations; a cross-shard
+    ///    commit adds a `Prepare` per shard and forces all of them durable;
+    /// 4. **install + replicate** — each write becomes a row-store version and
+    ///    a record in its shard's replication log;
+    /// 5. **mark** — each shard logs a `Commit` marker (the 2PC decision when
+    ///    cross-shard), then the gates are released;
+    /// 6. **sync** — every marker is made durable per the sync policy.
+    ///
+    /// Stages 3, 5 and 6 run only on a durable engine.  Recovery replays a
+    /// prepared transaction iff any shard holds its marker.
+    ///
+    /// Every failure takes one exit.  Before install the transaction aborts,
+    /// and recovery presumes its unmarked records aborted.  After install the
+    /// effects cannot be undone: a WAL failure finishes the transaction in
+    /// memory and returns the storage error — its durability is unknown, the
+    /// disk should be treated as failed, and it is not retryable.
     pub fn commit(&self, mut handle: TxnHandle) -> EngineResult<()> {
+        let mut trace = CommitTrace::start(handle.txn.id());
         let mgr = self.db.txn_manager();
-        let cost = &self.db.config().cost;
-        let medium = self.db.config().medium();
-        // The whole commit-path instrumentation hangs off this one relaxed
-        // load; with tracing off every per-stage timestamp below is skipped.
-        let tracing = olxp_trace::enabled();
-        let commit_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-        let trace_txn = handle.txn.id();
-        let mut stage_nanos = [0u64; olxp_trace::SpanCategory::COUNT];
-
-        if handle.txn.write_set().is_empty() {
+        let groups = self.group_by_shard(std::mem::take(handle.txn.write_set_mut()).into_ops());
+        if groups.is_empty() {
+            trace.span.cancel();
             mgr.finish_commit(&mut handle.txn)?;
             self.db.note_commit();
             return Ok(());
         }
-
-        // Snapshot isolation: first committer wins.  Each key is validated
-        // against the shard partition that owns it.
-        if handle.txn.isolation().validates_write_conflicts() {
-            let touched: Vec<(String, Key)> = handle
-                .txn
-                .write_set()
-                .touched_keys()
-                .map(|(t, k)| (t.to_string(), k.clone()))
-                .collect();
-            for (table, key) in touched {
-                let row_table = self.db.row_table_for(&table, &key)?;
-                if let Some(latest) = row_table.latest_commit_ts(&key) {
-                    if latest > handle.txn.begin_read_ts() {
-                        mgr.abort(&mut handle.txn);
-                        self.db.note_abort();
-                        return Err(TxnError::WriteConflict {
-                            table,
-                            key: key.to_string(),
-                        }
-                        .into());
-                    }
-                }
-            }
-        }
-
-        let ops: Vec<WriteOp> = handle.txn.write_set().ops().to_vec();
-        // Shards this write set touches, ascending — the global acquisition
-        // order for commit gates (the checkpointer uses the same order, so
-        // gate acquisition cannot deadlock).
-        let mut touched_shards: Vec<usize> = ops
-            .iter()
-            .map(|op| self.db.shard_for(op.table(), op.key()))
-            .collect();
-        touched_shards.sort_unstable();
-        touched_shards.dedup();
-        let durable = self.db.is_durable();
-
-        // Durable engines write ahead: each shard's slice of the write set
-        // (begin + mutations) is logged on that shard's stream before any
-        // in-memory install, the commit markers after the install succeeds,
-        // and the commit is acknowledged only once every marker's LSN is
-        // durable per the sync policy.  A crash before any marker leaves
-        // unmarked (or prepared-but-undecided) records that recovery
-        // presumes aborted.  Each touched shard's commit gate is held for
-        // read from *before* the commit-timestamp allocation through that
-        // shard's commit-marker append, so a checkpoint's exclusive
-        // `(commit_ts, LSN)` cut can never land between a transaction's
-        // timestamp and its WAL window on any shard — the invariant
-        // recovery's replay filter depends on.
-        let mut gates = Vec::new();
-        if durable {
-            for &shard in &touched_shards {
-                gates.push(self.db.commit_gate_read_for(shard));
-            }
-        }
-        let commit_ts = match mgr.prepare_commit(&handle.txn) {
-            Ok(ts) => ts,
-            Err(e) => {
-                drop(gates);
-                return Err(e.into());
-            }
-        };
-
-        let mut wal_txn = None;
-        let mut wal_records: u64 = 0;
-        if durable {
-            let txn_id = self.db.allocate_txn_id();
-            // Partition the write set per shard, preserving statement order
-            // within each shard.
-            let mut shard_ops: Vec<(usize, Vec<WalOp>)> = touched_shards
-                .iter()
-                .map(|&shard| (shard, Vec::new()))
-                .collect();
-            for op in &ops {
-                let shard = self.db.shard_for(op.table(), op.key());
-                let slot = shard_ops
-                    .iter_mut()
-                    .find(|(s, _)| *s == shard)
-                    .expect("every op's shard is in touched_shards");
-                slot.1.push(WalOp {
-                    table: op.table().to_string(),
-                    op: match op {
-                        WriteOp::Insert { .. } => olxp_storage::MutationOp::Insert,
-                        WriteOp::Update { .. } => olxp_storage::MutationOp::Update,
-                        WriteOp::Delete { .. } => olxp_storage::MutationOp::Delete,
-                    },
-                    key: op.key().clone(),
-                    row: op.row().cloned(),
-                });
-            }
-            let cross_shard = touched_shards.len() > 1;
-            let mut prepare_lsns: Vec<(usize, u64)> = Vec::new();
-            let mut failed = None;
-            for (shard, ops_for_shard) in &shard_ops {
-                let append_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                let wal = self
-                    .db
-                    .wal_for_shard(*shard)
-                    .expect("durable engine has a WAL per shard");
-                if let Err(e) = wal.log_mutations(txn_id, ops_for_shard, commit_ts) {
-                    failed = Some(e);
-                    break;
-                }
-                wal_records += ops_for_shard.len() as u64 + 1;
-                if cross_shard {
-                    // Single-shard commits skip the Prepare record and its
-                    // forced sync entirely — their flow is identical to the
-                    // unsharded engine's.
-                    match wal.log_prepare(txn_id) {
-                        Ok(lsn) => {
-                            prepare_lsns.push((*shard, lsn));
-                            wal_records += 1;
-                        }
-                        Err(e) => {
-                            failed = Some(e);
-                            break;
-                        }
-                    }
-                }
-                if tracing {
-                    olxp_trace::record_span(
-                        olxp_trace::SpanCategory::WalAppend,
-                        *shard as u32,
-                        trace_txn,
-                        append_start,
-                    );
-                    stage_nanos[olxp_trace::SpanCategory::WalAppend.index()] +=
-                        olxp_trace::now_nanos().saturating_sub(append_start);
-                }
-            }
-            if failed.is_none() {
-                // The 2PC log force: every shard's Prepare (and mutations)
-                // must be durable before *any* shard logs a Commit marker.
-                // Otherwise a crash could expose a marker on one shard while
-                // a sibling never persisted the transaction at all, and the
-                // in-doubt rule would have nothing to replay there.
-                for (shard, lsn) in &prepare_lsns {
-                    let prepare_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                    let wal = self
-                        .db
-                        .wal_for_shard(*shard)
-                        .expect("prepared shard has a WAL");
-                    if let Err(e) = wal.sync_to(*lsn) {
-                        failed = Some(e);
-                        break;
-                    }
-                    if tracing {
-                        olxp_trace::record_span(
-                            olxp_trace::SpanCategory::TwoPcPrepare,
-                            *shard as u32,
-                            trace_txn,
-                            prepare_start,
-                        );
-                        stage_nanos[olxp_trace::SpanCategory::TwoPcPrepare.index()] +=
-                            olxp_trace::now_nanos().saturating_sub(prepare_start);
-                    }
-                }
-            }
-            if let Some(e) = failed {
-                // Nothing was installed: unmarked records — and prepares
-                // whose transaction has no Commit marker anywhere — are
-                // presumed aborted on recovery.
-                drop(gates);
+        let shards: Vec<usize> = groups.iter().map(|&(shard, _)| shard).collect();
+        let writes: usize = groups.iter().map(|(_, ops)| ops.len()).sum();
+        let mut installed = false;
+        if let Err(e) = self.commit_stages(&handle.txn, groups, &mut trace, &mut installed) {
+            trace.span.cancel();
+            if installed {
+                mgr.finish_commit(&mut handle.txn)?;
+                self.db.note_commit();
+            } else {
                 mgr.abort(&mut handle.txn);
                 self.db.note_abort();
-                return Err(EngineError::Storage(e));
             }
-            wal_txn = Some(txn_id);
-        }
-
-        let install_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-        for op in &ops {
-            let shard = self.db.shard_for(op.table(), op.key());
-            let row_table = self.db.row_table_for(op.table(), op.key())?;
-            let result = match op {
-                WriteOp::Insert { row, .. } => row_table.insert(row.clone(), commit_ts).map(|_| ()),
-                WriteOp::Update { key, row, .. } => row_table.update(key, row.clone(), commit_ts),
-                WriteOp::Delete { key, .. } => row_table.delete(key, commit_ts),
-            };
-            if let Err(e) = result {
-                // Locks prevent concurrent writers to the same keys, so a
-                // failure here means the workload violated its own invariants
-                // (e.g. double insert); surface it after aborting.  On a
-                // durable engine the logged records stay without a Commit
-                // marker on any shard, so recovery never replays this
-                // transaction.
-                drop(gates);
-                mgr.abort(&mut handle.txn);
-                self.db.note_abort();
-                return Err(EngineError::Storage(e));
-            }
-            let mutation = match op {
-                WriteOp::Insert { .. } => olxp_storage::MutationOp::Insert,
-                WriteOp::Update { .. } => olxp_storage::MutationOp::Update,
-                WriteOp::Delete { .. } => olxp_storage::MutationOp::Delete,
-            };
-            self.db.replication_for(shard).append(
-                op.table(),
-                mutation,
-                op.key().clone(),
-                op.row().cloned(),
-                commit_ts,
-            );
-        }
-
-        if tracing {
-            // One install span per commit (spanning every touched shard's
-            // row-store writes), tagged with the first touched shard.
-            olxp_trace::record_span(
-                olxp_trace::SpanCategory::Install,
-                touched_shards.first().map_or(0, |&s| s as u32),
-                trace_txn,
-                install_start,
-            );
-            stage_nanos[olxp_trace::SpanCategory::Install.index()] +=
-                olxp_trace::now_nanos().saturating_sub(install_start);
-        }
-
-        // Past this point the write set is installed in the row store and
-        // queued for replication; those effects cannot be undone.  If a WAL
-        // then refuses a commit marker or an fsync, the transaction is
-        // finished *in memory* (so the engine's state stays consistent with
-        // what readers and replicas already see) and the durability fault is
-        // surfaced as an error: the caller must treat the engine's disk as
-        // failed, not retry the transaction.
-        let wal_error = if let Some(txn_id) = wal_txn {
-            let cross_shard = touched_shards.len() > 1;
-            let mut commit_lsns: Vec<(usize, u64)> = Vec::new();
-            let mut err = None;
-            for &shard in &touched_shards {
-                let marker_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                let wal = self
-                    .db
-                    .wal_for_shard(shard)
-                    .expect("durable engine has a WAL per shard");
-                match wal.log_commit(txn_id, commit_ts) {
-                    Ok(lsn) => {
-                        commit_lsns.push((shard, lsn));
-                        wal_records += 1;
-                    }
-                    Err(e) => {
-                        err = Some(e);
-                        break;
-                    }
-                }
-                // A cross-shard commit's marker append is its 2PC decision
-                // phase; a single-shard marker is just another WAL append.
-                if tracing {
-                    let category = if cross_shard {
-                        olxp_trace::SpanCategory::TwoPcCommit
-                    } else {
-                        olxp_trace::SpanCategory::WalAppend
-                    };
-                    olxp_trace::record_span(category, shard as u32, trace_txn, marker_start);
-                    stage_nanos[category.index()] +=
-                        olxp_trace::now_nanos().saturating_sub(marker_start);
-                }
-            }
-            drop(gates);
-            if err.is_none() {
-                // Block until every marker is durable (each shard's
-                // group-commit coordinator batches concurrent committers
-                // into shared fsyncs).  The row locks are still held, so
-                // per-key WAL order matches commit-timestamp order.
-                for (shard, lsn) in &commit_lsns {
-                    let fsync_start = if tracing { olxp_trace::now_nanos() } else { 0 };
-                    let wal = self
-                        .db
-                        .wal_for_shard(*shard)
-                        .expect("marked shard has a WAL");
-                    if let Err(e) = wal.sync_to(*lsn) {
-                        err = Some(e);
-                        break;
-                    }
-                    if tracing {
-                        olxp_trace::record_span(
-                            olxp_trace::SpanCategory::Fsync,
-                            *shard as u32,
-                            trace_txn,
-                            fsync_start,
-                        );
-                        stage_nanos[olxp_trace::SpanCategory::Fsync.index()] +=
-                            olxp_trace::now_nanos().saturating_sub(fsync_start);
-                    }
-                }
-            }
-            if err.is_none() {
-                self.db.note_wal_records(wal_records);
-            }
-            err
-        } else {
-            drop(gates);
-            None
-        };
-        if let Some(e) = wal_error {
-            mgr.finish_commit(&mut handle.txn)?;
-            self.db.note_commit();
-            return Err(EngineError::Storage(e));
+            return Err(e);
         }
         mgr.finish_commit(&mut handle.txn)?;
-
-        // Charge write service time and distributed-commit coordination.  A
-        // commit spanning multiple cluster partitions or multiple storage
-        // shards ran a two-phase protocol; the network round-trips are only
-        // modelled for cluster partitions (shards share the process).
-        let mut nanos = cost.write(medium).saturating_mul(ops.len() as u64);
-        if handle.partitions.len() > 1 {
-            nanos += cost.network(2 * (handle.partitions.len() as u64 - 1));
-        }
-        if handle.partitions.len() > 1 || touched_shards.len() > 1 {
-            self.db.metrics().add_distributed_commit();
-        }
-        if wal_txn.is_some() && medium == StorageMedium::Ssd {
-            // With real WAL streams the amortised log-force cost is not an
-            // anonymous slice of node compute: each stream admits one force
-            // at a time, so the per-commit force serialises against every
-            // other commit touching the same shard, and a cross-shard commit
-            // forces every touched shard's stream.  Pay it through the
-            // per-shard device (once per shard, not per row — that is the
-            // amortisation) and keep only the row-install cost on the node's
-            // worker pool.
-            nanos = nanos.saturating_sub(cost.ssd_write_extra_ns.saturating_mul(ops.len() as u64));
-            for &shard in &touched_shards {
-                self.db
-                    .occupy_wal_device(shard, handle.class, cost.ssd_write_extra_ns);
-            }
-        }
-        let node = handle
-            .partitions
-            .iter()
-            .next()
-            .copied()
-            .unwrap_or_else(|| self.db.cluster().next_storage_node());
-        self.db.charge(node, handle.class, nanos);
-        self.db.metrics().add_shard_commits(&touched_shards);
-        self.db.note_commit();
-        if tracing {
-            // Lock waits happened during the statements, not inside this
-            // call, so they join the breakdown here rather than the span.
-            stage_nanos[olxp_trace::SpanCategory::Lock.index()] = handle.lock_wait_nanos;
-            self.finish_commit_trace(
-                trace_txn,
-                wal_txn,
-                commit_start,
-                stage_nanos,
-                &touched_shards,
-            );
-        }
+        self.account_commit(&handle, &shards, writes as u64);
+        trace.finish(&self.db, &shards, handle.lock_wait_nanos);
         // Runs outside the commit gate: the checkpoint takes it exclusively.
         self.db.maybe_checkpoint();
         Ok(())
     }
 
-    /// Tracing epilogue of a successful commit: the whole-commit span, one
-    /// stage-histogram update under a single lock hold, and — when the commit
-    /// crossed the configured threshold — a slow-transaction record carrying
-    /// the full breakdown.
-    fn finish_commit_trace(
-        &self,
-        trace_txn: u64,
-        wal_txn: Option<u64>,
-        commit_start: u64,
-        mut stage_nanos: [u64; olxp_trace::SpanCategory::COUNT],
-        touched_shards: &[usize],
-    ) {
-        use olxp_trace::SpanCategory;
-        let total = olxp_trace::now_nanos().saturating_sub(commit_start);
-        stage_nanos[SpanCategory::Commit.index()] = total;
-        olxp_trace::record_span(
-            SpanCategory::Commit,
-            touched_shards.first().map_or(0, |&s| s as u32),
-            trace_txn,
-            commit_start,
-        );
-        let stages: Vec<(SpanCategory, u64)> = olxp_trace::ALL_CATEGORIES
-            .iter()
-            .map(|&c| (c, stage_nanos[c.index()]))
-            .filter(|&(c, nanos)| nanos > 0 || c == SpanCategory::Commit)
-            .collect();
-        // Lock waits were already recorded per acquisition in `lock()`; they
-        // appear in `stages` only so the slow-transaction record is complete.
-        let hist_stages: Vec<(SpanCategory, u64)> = stages
-            .iter()
-            .copied()
-            .filter(|&(c, _)| c != SpanCategory::Lock)
-            .collect();
-        self.db.metrics().record_stages(&hist_stages);
-        let slow_log = self.db.slow_txn_log();
-        if slow_log.is_enabled() && total >= slow_log.threshold_nanos() {
-            slow_log.observe(crate::slowlog::SlowTxnRecord {
-                txn_id: wal_txn.unwrap_or(trace_txn),
-                total_nanos: total,
-                shards: touched_shards.iter().map(|&s| s as u32).collect(),
-                stages,
-            });
+    /// Split a write set by owning shard, ascending (the checkpointer's gate
+    /// order too, so gates cannot deadlock), keeping statement order.
+    fn group_by_shard(&self, writes: Vec<WalOp>) -> Vec<(usize, Vec<WalOp>)> {
+        let mut groups: Vec<(usize, Vec<WalOp>)> = Vec::new();
+        for op in writes {
+            let shard = self.db.shard_for(&op.table, &op.key);
+            match groups.binary_search_by_key(&shard, |&(s, _)| s) {
+                Ok(i) => groups[i].1.push(op),
+                Err(i) => groups.insert(i, (shard, vec![op])),
+            }
         }
+        groups
+    }
+
+    /// Stages 1–6 of [`Session::commit`]; sets `installed` once the write set
+    /// is in the row store.
+    fn commit_stages(
+        &self,
+        txn: &Transaction,
+        groups: Vec<(usize, Vec<WalOp>)>,
+        trace: &mut CommitTrace,
+        installed: &mut bool,
+    ) -> EngineResult<()> {
+        use SpanCategory::*;
+        if txn.isolation().validates_write_conflicts() {
+            for (shard, ops) in &groups {
+                for op in ops {
+                    let rows = self.db.row_partition(*shard, &op.table)?;
+                    if rows.latest_commit_ts(&op.key) > Some(txn.begin_read_ts()) {
+                        let (table, key) = (op.table.clone(), op.key.to_string());
+                        return Err(TxnError::WriteConflict { table, key }.into());
+                    }
+                }
+            }
+        }
+        // Empty on an in-memory engine, which skips every WAL stage.
+        let wals: Vec<(usize, &Arc<Wal>)> = groups
+            .iter()
+            .filter_map(|&(shard, _)| Some((shard, self.db.wal_for_shard(shard)?)))
+            .collect();
+        let gates: Vec<_> = wals
+            .iter()
+            .map(|&(s, _)| self.db.commit_gate_read_for(s))
+            .collect();
+        let commit_ts = self.db.txn_manager().prepare_commit(txn)?;
+        let wal_txn = wals.first().map_or(0, |_| self.db.allocate_txn_id());
+        let cross_shard = groups.len() > 1;
+        let mut prepared = Vec::new();
+        for ((shard, ops), &(_, wal)) in groups.iter().zip(&wals) {
+            trace.time(WalAppend, *shard, || {
+                wal.log_mutations(wal_txn, ops, commit_ts)?;
+                if cross_shard {
+                    prepared.push((*shard, wal, wal.log_prepare(wal_txn)?));
+                }
+                Ok::<_, StorageError>(())
+            })?;
+        }
+        for (shard, wal, lsn) in prepared {
+            trace.time(TwoPcPrepare, shard, || wal.sync_to(lsn))?;
+        }
+        // One install span for the whole write set, tagged with its first shard.
+        trace.time(Install, groups[0].0, || self.install(groups, commit_ts))?;
+        *installed = true;
+        let marker = if cross_shard { TwoPcCommit } else { WalAppend };
+        let mut marked = Vec::with_capacity(wals.len());
+        for &(shard, wal) in &wals {
+            let lsn = trace.time(marker, shard, || wal.log_commit(wal_txn, commit_ts))?;
+            marked.push((shard, wal, lsn));
+        }
+        drop(gates);
+        // The row locks are still held, so per-key WAL order matches
+        // commit-timestamp order; group commit batches concurrent syncs.
+        for (shard, wal, lsn) in marked {
+            trace.time(Fsync, shard, || wal.sync_to(lsn))?;
+        }
+        Ok(())
+    }
+
+    /// Install each write as a row-store version and append it to its shard's
+    /// replication log: the row store gets the only copy of each row.
+    fn install(&self, groups: Vec<(usize, Vec<WalOp>)>, commit_ts: Timestamp) -> EngineResult<()> {
+        for (shard, ops) in groups {
+            let log = self.db.replication_for(shard);
+            for op in ops {
+                let rows = self.db.row_partition(shard, &op.table)?;
+                match (op.op, op.row.clone()) {
+                    (MutationOp::Insert, Some(row)) => rows.insert(row, commit_ts).map(drop),
+                    (MutationOp::Update, Some(row)) => rows.update(&op.key, row, commit_ts),
+                    (MutationOp::Delete, _) => rows.delete(&op.key, commit_ts),
+                    (_, None) => Err(StorageError::Internal("write without a row image".into())),
+                }?;
+                log.append(&op.table, op.op, op.key, op.row, commit_ts);
+            }
+        }
+        Ok(())
+    }
+
+    /// Account a successful commit: WAL records, per-shard counts, modelled
+    /// write service time and 2PC network round-trips (modelled only across
+    /// cluster partitions; shards share the process).
+    fn account_commit(&self, handle: &TxnHandle, shards: &[usize], writes: u64) {
+        let cost = &self.db.config().cost;
+        let medium = self.db.config().medium();
+        let partitions = handle.partitions.len() as u64;
+        let mut nanos = cost.write(medium).saturating_mul(writes);
+        if partitions > 1 {
+            nanos += cost.network(2 * (partitions - 1));
+        }
+        if partitions > 1 || shards.len() > 1 {
+            self.db.metrics().add_distributed_commit();
+        }
+        if self.db.is_durable() {
+            // Begin and marker per shard (plus Prepare when cross-shard).
+            let per_shard = if shards.len() > 1 { 3 } else { 2 };
+            let records = writes + per_shard * shards.len() as u64;
+            self.db.note_wal_records(records);
+            if medium == StorageMedium::Ssd {
+                // Real WAL streams admit one log force at a time, so the
+                // amortised force is paid once per touched shard's device,
+                // not per row; only the install cost stays on the node.
+                let extra = cost.ssd_write_extra_ns;
+                nanos = nanos.saturating_sub(extra.saturating_mul(writes));
+                for &shard in shards {
+                    self.db.occupy_wal_device(shard, handle.class, extra);
+                }
+            }
+        }
+        let node = handle.partitions.iter().next().copied();
+        let node = node.unwrap_or_else(|| self.db.cluster().next_storage_node());
+        self.db.charge(node, handle.class, nanos);
+        self.db.metrics().add_shard_commits(shards);
+        self.db.note_commit();
     }
 
     /// Roll back a transaction.
@@ -783,13 +541,7 @@ impl Session {
                 key: key.to_string(),
             }));
         }
-        handle.partitions.insert(self.db.partition_for(table, &key));
-        handle.txn.write_set_mut().push(WriteOp::Insert {
-            table: table.to_string(),
-            key,
-            row,
-        });
-        self.charge_write_statement(handle, table);
+        self.buffer_write(handle, MutationOp::Insert, table, key, Some(row));
         Ok(())
     }
 
@@ -819,13 +571,7 @@ impl Session {
                 key: key.to_string(),
             }));
         }
-        handle.partitions.insert(self.db.partition_for(table, key));
-        handle.txn.write_set_mut().push(WriteOp::Update {
-            table: table.to_string(),
-            key: key.clone(),
-            row,
-        });
-        self.charge_write_statement(handle, table);
+        self.buffer_write(handle, MutationOp::Update, table, key.clone(), Some(row));
         Ok(())
     }
 
@@ -848,13 +594,28 @@ impl Session {
                 key: key.to_string(),
             }));
         }
-        handle.partitions.insert(self.db.partition_for(table, key));
-        handle.txn.write_set_mut().push(WriteOp::Delete {
-            table: table.to_string(),
-            key: key.clone(),
-        });
-        self.charge_write_statement(handle, table);
+        self.buffer_write(handle, MutationOp::Delete, table, key.clone(), None);
         Ok(())
+    }
+
+    /// Append one write to the transaction's write set and charge it.
+    fn buffer_write(
+        &self,
+        handle: &mut TxnHandle,
+        op: MutationOp,
+        table: &str,
+        key: Key,
+        row: Option<Row>,
+    ) {
+        handle.partitions.insert(self.db.partition_for(table, &key));
+        self.charge_write_statement(handle, table);
+        let table = table.to_string();
+        handle.txn.write_set_mut().push(WalOp {
+            table,
+            op,
+            key,
+            row,
+        });
     }
 
     // ------------------------------------------------------------------
@@ -930,18 +691,13 @@ impl Session {
         };
         match self.db.route_analytical() {
             AnalyticalRoute::ColumnStore => {
-                let fresh_start = if olxp_trace::enabled() {
-                    Some(olxp_trace::now_nanos())
-                } else {
-                    None
-                };
+                let wait = olxp_trace::span(SpanCategory::FreshnessWait, 0, 0);
                 let freshness = self.ensure_freshness()?;
-                if let Some(start) = fresh_start {
-                    olxp_trace::record_span(olxp_trace::SpanCategory::FreshnessWait, 0, 0, start);
-                    self.db.metrics().record_stage(
-                        olxp_trace::SpanCategory::FreshnessWait,
-                        olxp_trace::now_nanos().saturating_sub(start),
-                    );
+                if wait.is_armed() {
+                    let nanos = wait.finish();
+                    self.db
+                        .metrics()
+                        .record_stage(SpanCategory::FreshnessWait, nanos);
                 }
                 let tables = self.db.col_tables();
                 let source = ColumnSource::new(&tables);
@@ -1075,10 +831,12 @@ impl Session {
         // Strict pins every shard's watermark at entry: everything committed
         // before the read started must be visible, later commits need not be.
         let strict_targets: Vec<u64> = logs.iter().map(|l| l.last_appended_lsn()).collect();
-        let satisfied = || -> bool {
+        let satisfied = |sample: &FreshnessSample| -> bool {
             match policy {
                 FreshnessPolicy::Eventual => true,
-                FreshnessPolicy::BoundedRecords(n) => logs.iter().map(&lag_of).sum::<u64>() <= n,
+                // Judged on the sample the read reports, so the lag it
+                // observes can never exceed the bound it waited for.
+                FreshnessPolicy::BoundedRecords(n) => sample.lag_records <= n,
                 FreshnessPolicy::BoundedNanos(bound) => logs.iter().all(|log| {
                     // The queue alone cannot prove the bound: the applier
                     // drains records in batches before applying them, and the
@@ -1108,8 +866,9 @@ impl Session {
         let started = Instant::now();
         let deadline = started + timeout;
         loop {
-            if satisfied() {
-                return Ok(self.freshness_now());
+            let sample = self.freshness_now();
+            if satisfied(&sample) {
+                return Ok(sample);
             }
             let now = Instant::now();
             if now >= deadline {
@@ -1149,12 +908,17 @@ impl Session {
                         // shard's allowance: the total stays within the
                         // bound only once this shard's lag shrinks to
                         // whatever the rest leaves over.
-                        let log = logs
+                        // One lag snapshot, so `others` cannot underflow
+                        // when writers append between two reads.
+                        let lags: Vec<u64> = logs.iter().map(&lag_of).collect();
+                        let (worst, &worst_lag) = lags
                             .iter()
-                            .max_by_key(|l| lag_of(l))
+                            .enumerate()
+                            .max_by_key(|&(_, lag)| *lag)
                             .expect("at least one shard");
-                        let others: u64 = logs.iter().map(&lag_of).sum::<u64>() - lag_of(log);
+                        let others = lags.iter().sum::<u64>() - worst_lag;
                         let allowance = n.saturating_sub(others);
+                        let log = &logs[worst];
                         log.wait_for_applied(
                             log.last_appended_lsn().saturating_sub(allowance),
                             budget,
@@ -1242,20 +1006,15 @@ impl Session {
             .txn_manager()
             .lock_for_write_on(shard, &mut handle.txn, table, key)?;
         // The per-shard lock-wait counters stay on regardless of tracing (the
-        // shards experiment reads them); the span and histogram are gated.
+        // shards experiment reads them); the span, backdated over the wait
+        // that just ended, and the histogram are gated.
         let waited = started.elapsed().as_nanos() as u64;
         self.db.metrics().add_lock_wait(shard, waited);
         handle.lock_wait_nanos += waited;
-        if olxp_trace::enabled() {
-            olxp_trace::record_span(
-                olxp_trace::SpanCategory::Lock,
-                shard as u32,
-                handle.txn.id(),
-                olxp_trace::now_nanos().saturating_sub(waited),
-            );
-            self.db
-                .metrics()
-                .record_stage(olxp_trace::SpanCategory::Lock, waited);
+        let span = olxp_trace::span(SpanCategory::Lock, shard as u32, handle.txn.id());
+        if span.is_armed() {
+            let nanos = span.backdate(waited).finish();
+            self.db.metrics().record_stage(SpanCategory::Lock, nanos);
         }
         Ok(())
     }
@@ -1294,6 +1053,63 @@ impl Session {
             + cost.join(stats.join_probes + stats.join_build_rows)
             + cost.aggregate(stats.agg_input_rows)
             + cost.sort(stats.sort_rows)
+    }
+}
+
+/// Stage timing of one commit: the whole-commit span plus each stage's
+/// duration summed across shards (one histogram entry per stage per commit).
+struct CommitTrace {
+    span: SpanGuard,
+    txn: u64,
+    stages: [u64; SpanCategory::COUNT],
+}
+
+impl CommitTrace {
+    fn start(txn: u64) -> CommitTrace {
+        let span = olxp_trace::span(SpanCategory::Commit, 0, txn);
+        let stages = [0; SpanCategory::COUNT];
+        CommitTrace { span, txn, stages }
+    }
+
+    /// Run one stage's `work` against `shard` under its own span.
+    fn time<T>(&mut self, stage: SpanCategory, shard: usize, work: impl FnOnce() -> T) -> T {
+        let span = olxp_trace::span(stage, shard as u32, self.txn);
+        let out = work();
+        self.stages[stage.index()] += span.finish();
+        out
+    }
+
+    /// Epilogue of a traced, successful commit: the whole-commit span, one
+    /// stage-histogram update under a single lock hold and — when the commit
+    /// crossed the configured threshold — a slow-transaction record carrying
+    /// the full breakdown.
+    fn finish(mut self, db: &HybridDatabase, shards: &[usize], lock_wait_nanos: u64) {
+        if !self.span.is_armed() {
+            return;
+        }
+        self.span.retag(shards[0] as u32, self.txn);
+        let total = self.span.finish();
+        self.stages[SpanCategory::Commit.index()] = total;
+        let mut stages: Vec<(SpanCategory, u64)> = olxp_trace::ALL_CATEGORIES
+            .iter()
+            .map(|&c| (c, self.stages[c.index()]))
+            .filter(|&(c, nanos)| nanos > 0 || c == SpanCategory::Commit)
+            .collect();
+        db.metrics().record_stages(&stages);
+        let slow_log = db.slow_txn_log();
+        if slow_log.is_enabled() && total >= slow_log.threshold_nanos() {
+            // Lock waits happened during the statements and were recorded
+            // per acquisition in `lock()`; the slow record lists them first.
+            if lock_wait_nanos > 0 {
+                stages.insert(0, (SpanCategory::Lock, lock_wait_nanos));
+            }
+            slow_log.observe(crate::slowlog::SlowTxnRecord {
+                txn_id: self.txn,
+                total_nanos: total,
+                shards: shards.iter().map(|&s| s as u32).collect(),
+                stages,
+            });
+        }
     }
 }
 
@@ -1887,6 +1703,195 @@ mod tests {
         assert!(snap.per_shard.iter().all(|shard| shard.commits >= 1));
         assert!(snap.per_shard.iter().all(|shard| shard.wal_appends >= 1));
 
+        olxp_trace::set_enabled(false);
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Open a traced two-phase-capable test engine: durable with
+    /// `SyncPolicy::Always` (every WAL stage does real work) when `dir` is
+    /// given, in-memory otherwise, with a 1 ms slow-transaction threshold.
+    fn traced_db(shards: usize, dir: Option<&str>) -> Arc<HybridDatabase> {
+        let durability = match dir {
+            Some(dir) => {
+                crate::config::DurabilityConfig::at(dir).with_sync(olxp_storage::SyncPolicy::Always)
+            }
+            None => crate::config::DurabilityConfig::disabled(),
+        };
+        test_db(
+            EngineConfig::dual_engine()
+                .with_shards(shards)
+                .with_durability(durability)
+                .with_tracing(true)
+                .with_slow_txn_threshold_ms(1),
+        )
+    }
+
+    /// Begin a transaction that rewrites every row in `keys`.
+    fn update_items(session: &Session, keys: &[i64]) -> TxnHandle {
+        let mut txn = session.begin(WorkClass::Oltp);
+        for &key in keys {
+            let row = Row::new(vec![
+                Value::Int(key),
+                Value::Str("staged".into()),
+                Value::Decimal(3),
+            ]);
+            session
+                .update(&mut txn, "ITEM", &Key::int(key), row)
+                .unwrap();
+        }
+        txn
+    }
+
+    /// Commit an update of `keys` on this thread while another holds shard
+    /// 0's commit gate exclusively for a few milliseconds, so a durable
+    /// commit crosses the 1 ms slow-transaction threshold deterministically.
+    /// Returns the transaction's id.
+    fn commit_while_gate_held(db: &Arc<HybridDatabase>, keys: &[i64]) -> u64 {
+        let session = db.session();
+        let txn = update_items(&session, keys);
+        let txn_id = txn.txn().id();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let gate = db.commit_gate_write_for(0);
+                barrier.wait();
+                std::thread::sleep(Duration::from_millis(5));
+                drop(gate);
+            });
+            barrier.wait();
+            session.commit(txn).unwrap();
+            holder.join().unwrap();
+        });
+        txn_id
+    }
+
+    /// Drain the span rings and keep the spans this thread recorded (other
+    /// tests' engines trace concurrently and reuse the same txn ids).
+    fn this_thread_spans() -> Vec<olxp_trace::SpanEvent> {
+        olxp_trace::record_span(SpanCategory::Lock, u32::MAX, u64::MAX, 0);
+        let events = olxp_trace::take_events();
+        let tid = events
+            .iter()
+            .find(|t| t.event.shard == u32::MAX && t.event.txn_id == u64::MAX)
+            .expect("sentinel span recorded")
+            .tid;
+        events
+            .iter()
+            .filter(|t| t.tid == tid && t.event.txn_id != u64::MAX)
+            .map(|t| t.event)
+            .collect()
+    }
+
+    /// The commit-path stages whose histogram entries a commit owns.
+    const COMMIT_STAGES: [SpanCategory; 6] = [
+        SpanCategory::WalAppend,
+        SpanCategory::Fsync,
+        SpanCategory::Install,
+        SpanCategory::TwoPcPrepare,
+        SpanCategory::TwoPcCommit,
+        SpanCategory::Commit,
+    ];
+
+    fn commit_stage_counts(db: &HybridDatabase) -> Vec<u64> {
+        let stages = db.metrics_snapshot().stages;
+        COMMIT_STAGES
+            .iter()
+            .map(|&c| stages.get(c).count())
+            .collect()
+    }
+
+    #[test]
+    fn commit_stages_are_attributed_once_per_commit() {
+        use SpanCategory::*;
+        let _serial = trace_gate_lock();
+        let dir = trace_temp_dir("stages");
+        let [key_a, key_b] = keys_on_both_shards();
+        let single: &[SpanCategory] = &[WalAppend, Fsync, Install, Commit];
+        let cross: &[SpanCategory] =
+            &[WalAppend, Fsync, Install, TwoPcPrepare, TwoPcCommit, Commit];
+        let cases = [
+            ("single-shard durable", 1, true, vec![7], single),
+            ("cross-shard durable", 2, true, vec![key_a, key_b], cross),
+            ("in-memory", 1, false, vec![7], &[Install, Commit]),
+        ];
+        for (name, shards, durable, keys, expected) in cases {
+            let data_dir = format!("{dir}-{shards}");
+            let db = traced_db(shards, durable.then_some(data_dir.as_str()));
+            let before = commit_stage_counts(&db);
+            let session = db.session();
+            let _ = olxp_trace::take_events();
+            let txn = update_items(&session, &keys);
+            let txn_id = txn.txn().id();
+            session.commit(txn).unwrap();
+            let spans: Vec<SpanCategory> = this_thread_spans()
+                .iter()
+                .filter(|event| event.txn_id == txn_id)
+                .map(|event| event.category)
+                .collect();
+            if durable {
+                commit_while_gate_held(&db, &keys);
+            } else {
+                session.commit(update_items(&session, &keys)).unwrap();
+            }
+            let after = commit_stage_counts(&db);
+            for (i, stage) in COMMIT_STAGES.iter().enumerate() {
+                let want = if expected.contains(stage) { 2 } else { 0 };
+                assert_eq!(after[i] - before[i], want, "{name}: {stage:?} entries");
+            }
+
+            // One span per stage per touched shard; a cross-shard commit's
+            // markers are 2PC-commit spans, not WAL appends.
+            let count = |c: SpanCategory| spans.iter().filter(|&&s| s == c).count();
+            let (appends, markers) = match (durable, keys.len()) {
+                (false, _) => (0, 0),
+                (true, 1) => (2, 0),
+                (true, touched) => (touched, touched),
+            };
+            assert_eq!(count(WalAppend), appends, "{name}: wal_append spans");
+            assert_eq!(count(TwoPcCommit), markers, "{name}: 2pc_commit spans");
+            assert_eq!(count(Install), 1, "{name}: install spans");
+            assert_eq!(count(Commit), 1, "{name}: commit spans");
+
+            if durable {
+                let record = db
+                    .slow_txn_log()
+                    .records()
+                    .pop()
+                    .expect("slow commit logged");
+                let listed: Vec<SpanCategory> = record
+                    .stages
+                    .iter()
+                    .map(|&(c, _)| c)
+                    .filter(|&c| c != Lock)
+                    .collect();
+                assert_eq!(listed, expected, "{name}: slow-txn stages");
+            }
+            drop(db);
+            let _ = std::fs::remove_dir_all(&data_dir);
+        }
+        olxp_trace::set_enabled(false);
+    }
+
+    #[test]
+    fn slow_txn_record_carries_the_commit_spans_txn_id() {
+        let _serial = trace_gate_lock();
+        let dir = trace_temp_dir("slow-id");
+        let db = traced_db(1, Some(&dir));
+        let _ = olxp_trace::take_events();
+        let txn_id = commit_while_gate_held(&db, &[7]);
+        let record = db
+            .slow_txn_log()
+            .records()
+            .pop()
+            .expect("slow commit logged");
+        assert_eq!(record.txn_id, txn_id);
+        let commit_spans: Vec<u64> = this_thread_spans()
+            .iter()
+            .filter(|event| event.category == SpanCategory::Commit)
+            .map(|event| event.txn_id)
+            .collect();
+        assert_eq!(commit_spans, vec![record.txn_id]);
         olxp_trace::set_enabled(false);
         drop(db);
         let _ = std::fs::remove_dir_all(&dir);

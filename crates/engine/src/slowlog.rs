@@ -24,8 +24,8 @@ const SLOW_LOG_CAP: usize = 1024;
 /// One commit that crossed the slow-transaction threshold.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlowTxnRecord {
-    /// WAL transaction id of the commit (0 for non-durable commits, which
-    /// allocate no WAL id).
+    /// The committing transaction's id — the id its spans carry, so the
+    /// record joins its own spans in a trace.
     pub txn_id: u64,
     /// End-to-end commit latency in nanoseconds.
     pub total_nanos: u64,

@@ -174,7 +174,7 @@ proptest! {
         apply(&encoded, rows.len(), &pre_updates, &pre_deletes, 1_000);
         // Seal 0..=all full chunks of one table only.
         for _ in 0..compact_steps {
-            if !encoded.compact_chunk() {
+            if encoded.compact_chunk().is_none() {
                 break;
             }
         }
@@ -217,7 +217,7 @@ proptest! {
         let filtered_baseline = scan(&table, &filtered, PruningMode::Off);
         let full_baseline = scan(&table, &full, PruningMode::Off);
         loop {
-            let sealed = table.compact_chunk();
+            let sealed = table.compact_chunk().is_some();
             prop_assert_eq!(
                 scan(&table, &filtered, PruningMode::Both),
                 filtered_baseline.clone(),

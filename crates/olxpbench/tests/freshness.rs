@@ -57,6 +57,15 @@ fn count_plan() -> Plan {
         .build()
 }
 
+/// Raises the flag when dropped, including during a panic's unwinding.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
 /// The acceptance property: with the background applier running and
 /// `BoundedRecords(n)`, every analytical read observes lag <= n while
 /// concurrent writers commit.
@@ -85,6 +94,10 @@ fn bounded_records_holds_under_concurrent_writers() {
                 });
             }
 
+            // Stops the writers however this scope ends: a failed read must
+            // fail the test, not leave the writers appending forever while
+            // the scope waits to join them.
+            let _stop_writers = StopOnDrop(&stop);
             let session = db.session();
             let plan = count_plan();
             let mut max_observed = 0u64;
@@ -99,7 +112,6 @@ fn bounded_records_holds_under_concurrent_writers() {
                 );
                 max_observed = max_observed.max(out.stats.freshness_lag_records);
             }
-            stop.store(true, Ordering::Relaxed);
             let _ = max_observed; // writers keep lag non-deterministic; the bound is what matters
         });
 

@@ -357,22 +357,12 @@ fn run(
     // Per-operator batch timing, one relaxed load when tracing is off.  A
     // node's span (and recorded duration) includes its children, matching
     // how the spans nest in a Chrome trace view.
-    let trace_start = if olxp_trace::enabled() {
-        Some(olxp_trace::now_nanos())
-    } else {
-        None
-    };
+    let tag = operator_tag(plan);
+    let mut span = olxp_trace::span(olxp_trace::SpanCategory::QueryOperator, tag, 0);
     let result = run_node(plan, source, stats, opts)?;
-    if let Some(start) = trace_start {
-        olxp_trace::record_span(
-            olxp_trace::SpanCategory::QueryOperator,
-            operator_tag(plan),
-            result.selected_len() as u64,
-            start,
-        );
-        stats
-            .operator_nanos
-            .push(olxp_trace::now_nanos().saturating_sub(start));
+    if span.is_armed() {
+        span.retag(tag, result.selected_len() as u64);
+        stats.operator_nanos.push(span.finish());
     }
     Ok(result)
 }

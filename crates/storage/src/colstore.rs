@@ -448,24 +448,25 @@ impl ColumnTable {
 
     /// Seal the oldest full delta chunk into the compressed main tier.
     ///
-    /// Returns `false` when the delta tail holds less than one full chunk
-    /// (partial tail chunks are never sealed — they are still growing).  The
-    /// rewrite re-encodes every column, rebuilds the chunk's zone map and
-    /// fingerprint filter tight from the surviving live rows, and drops
-    /// deleted payloads; global slot indices are unchanged, so readers see
-    /// the exact same rows before and after.
-    pub fn compact_chunk(&self) -> bool {
-        let trace_start = if olxp_trace::enabled() {
-            Some(olxp_trace::now_nanos())
-        } else {
-            None
-        };
+    /// Returns `None` when the delta tail holds less than one full chunk
+    /// (partial tail chunks are never sealed — they are still growing), else
+    /// the seal's duration in nanoseconds as timed by its compaction span (0
+    /// while tracing is off).  The rewrite re-encodes every column, rebuilds
+    /// the chunk's zone map and fingerprint filter tight from the surviving
+    /// live rows, and drops deleted payloads; global slot indices are
+    /// unchanged, so readers see the exact same rows before and after.
+    pub fn compact_chunk(&self) -> Option<u64> {
+        // One span per sealed chunk; its shard field carries the main-tier
+        // chunk index, its txn field the chunk's row capacity.
+        let mut span = olxp_trace::span(olxp_trace::SpanCategory::Compaction, 0, 0);
         let mut data = self.data.write();
         let main_slots = data.main_slots(self.chunk_size);
         if data.deleted.len() - main_slots < self.chunk_size {
-            return false;
+            span.cancel();
+            return None;
         }
         let chunk = data.main.len();
+        span.retag(chunk as u32, self.chunk_size as u64);
         let (sealed, zone) = {
             let column_slices: Vec<&[crate::Value]> =
                 data.columns.iter().map(|c| &c[..self.chunk_size]).collect();
@@ -488,24 +489,14 @@ impl ColumnTable {
         self.counters
             .chunks_compacted
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(start) = trace_start {
-            // One span per sealed chunk; the span's shard field carries the
-            // main-tier chunk index, its txn field the chunk's row capacity.
-            olxp_trace::record_span(
-                olxp_trace::SpanCategory::Compaction,
-                chunk as u32,
-                self.chunk_size as u64,
-                start,
-            );
-        }
-        true
+        Some(span.finish())
     }
 
     /// Seal every full delta chunk, one write-lock acquisition per chunk so
     /// readers interleave.  Returns the number of chunks sealed.
     pub fn compact(&self) -> usize {
         let mut sealed = 0;
-        while self.compact_chunk() {
+        while self.compact_chunk().is_some() {
             sealed += 1;
         }
         sealed
@@ -1490,7 +1481,7 @@ mod tests {
         let baseline = collect_ids(&t, None, PruningMode::Off);
         let pred = eq(1, Value::Decimal(300));
         let pred_baseline = collect_ids(&t, Some(&pred), PruningMode::Off);
-        while t.compact_chunk() {
+        while t.compact_chunk().is_some() {
             assert_eq!(collect_ids(&t, None, PruningMode::Off), baseline);
             for mode in [PruningMode::Off, PruningMode::Both] {
                 assert_eq!(collect_ids(&t, Some(&pred), mode), pred_baseline);

@@ -443,14 +443,9 @@ impl Wal {
         })?;
         for op in ops {
             self.append_record(&mut inner, |lsn| {
-                encode_record(
-                    lsn,
-                    &WalRecord::Mutation {
-                        txn_id,
-                        op: op.clone(),
-                        commit_ts,
-                    },
-                )
+                let mut out = payload_header(lsn);
+                put_mutation(&mut out, txn_id, op, commit_ts);
+                out
             })?;
         }
         self.write_through(&mut inner)?;
@@ -1193,8 +1188,7 @@ fn mutation_op_from_tag(tag: u8) -> StorageResult<MutationOp> {
 /// Encode one record payload (LSN + kind + fields).
 fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
     use codec::*;
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&lsn.to_le_bytes());
+    let mut out = payload_header(lsn);
     match record {
         WalRecord::CreateTable { schema } => {
             out.push(1);
@@ -1208,21 +1202,7 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
             txn_id,
             op,
             commit_ts,
-        } => {
-            out.push(3);
-            out.extend_from_slice(&txn_id.to_le_bytes());
-            out.extend_from_slice(&commit_ts.to_le_bytes());
-            out.push(mutation_op_tag(op.op));
-            put_str(&mut out, &op.table);
-            put_key(&mut out, &op.key);
-            match &op.row {
-                Some(row) => {
-                    out.push(1);
-                    put_row(&mut out, row);
-                }
-                None => out.push(0),
-            }
-        }
+        } => put_mutation(&mut out, *txn_id, op, *commit_ts),
         WalRecord::Commit { txn_id, commit_ts } => {
             out.push(4);
             out.extend_from_slice(&txn_id.to_le_bytes());
@@ -1234,6 +1214,32 @@ fn encode_record(lsn: u64, record: &WalRecord) -> Vec<u8> {
         }
     }
     out
+}
+
+/// A record payload's leading LSN; the kind tag and fields follow.
+fn payload_header(lsn: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&lsn.to_le_bytes());
+    out
+}
+
+/// Append a `Mutation` record's kind tag and fields.  The op is borrowed, so
+/// the commit path logs its write set without copying it.
+fn put_mutation(out: &mut Vec<u8>, txn_id: u64, op: &WalOp, commit_ts: Timestamp) {
+    use codec::*;
+    out.push(3);
+    out.extend_from_slice(&txn_id.to_le_bytes());
+    out.extend_from_slice(&commit_ts.to_le_bytes());
+    out.push(mutation_op_tag(op.op));
+    put_str(out, &op.table);
+    put_key(out, &op.key);
+    match &op.row {
+        Some(row) => {
+            out.push(1);
+            put_row(out, row);
+        }
+        None => out.push(0),
+    }
 }
 
 /// Decode one record payload.
@@ -1327,6 +1333,54 @@ mod tests {
         // IEEE CRC-32 of "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The exact segment bytes `log_mutations` writes for a Begin, an Insert
+    /// carrying a row image and a Delete without one.  Recovery of existing
+    /// data directories depends on this encoding staying byte-identical.
+    #[test]
+    fn mutation_records_have_golden_bytes() {
+        let dir = temp_dir("wal-golden");
+        let (wal, _) = Wal::open(&dir, SyncPolicy::Always, 1 << 20).unwrap();
+        let ops = [
+            WalOp {
+                table: "T".into(),
+                op: MutationOp::Insert,
+                key: Key::int(1),
+                row: Some(Row::new(vec![Value::Int(1), Value::Str("a".into())])),
+            },
+            WalOp {
+                table: "T".into(),
+                op: MutationOp::Delete,
+                key: Key::int(2),
+                row: None,
+            },
+        ];
+        wal.log_mutations(9, &ops, 5).unwrap();
+        wal.flush_and_fsync().unwrap();
+        drop(wal);
+        let segments = list_segments(&dir, "wal").unwrap();
+        assert_eq!(segments.len(), 1);
+        let bytes = std::fs::read(&segments[0].1).unwrap();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        // Frames are `len u32 | crc32 u32 | payload`; payloads start with
+        // `lsn u64 | kind u8`.
+        #[rustfmt::skip]
+        let golden = concat!(
+            // Begin: lsn 1, txn 9.
+            "11000000", "5309f07f", "0100000000000000", "02", "0900000000000000",
+            // Insert: lsn 2, txn 9, ts 5, tag 0, table "T", key [Int 1],
+            // row present: [Int 1, Str "a"].
+            "40000000", "db486639", "0200000000000000", "03", "0900000000000000",
+            "0500000000000000", "00", "0100000054", "01000000", "01", "0100000000000000",
+            "01", "02000000", "01", "0100000000000000", "04", "0100000061",
+            // Delete: lsn 3, txn 9, ts 5, tag 2, table "T", key [Int 2], no row.
+            "2d000000", "c86f6a04", "0300000000000000", "03", "0900000000000000",
+            "0500000000000000", "02", "0100000054", "01000000", "01", "0200000000000000",
+            "00",
+        );
+        assert_eq!(hex, golden);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -273,21 +273,19 @@ thread_local! {
 /// (one relaxed load + branch) when tracing is disabled.
 #[inline]
 pub fn record_span(category: SpanCategory, shard: u32, txn_id: u64, start_nanos: u64) {
-    if !enabled() {
-        return;
-    }
-    let ev = SpanEvent {
+    let armed = enabled();
+    drop(SpanGuard {
         category,
         shard,
         txn_id,
         start_nanos,
-        end_nanos: now_nanos(),
-    };
-    LOCAL_BUF.with(|b| b.buf.push(&ev));
+        armed,
+    });
 }
 
-/// RAII span: records on drop.  Obtained from [`span`]; inert (zero work on
-/// drop) when tracing was disabled at construction.
+/// RAII span: records on drop, or earlier through [`SpanGuard::finish`].
+/// Obtained from [`span`]; inert (zero work on drop) when tracing was
+/// disabled at construction.
 #[must_use = "a span measures the scope it lives in"]
 pub struct SpanGuard {
     category: SpanCategory,
@@ -311,34 +309,79 @@ impl SpanGuard {
     pub fn is_armed(&self) -> bool {
         self.armed
     }
+
+    /// Move the span's start `nanos` into the past, for a stage that began
+    /// before the guard could exist (a wait its caller already measured, a
+    /// batch whose oldest record was enqueued earlier).
+    pub fn backdate(mut self, nanos: u64) -> SpanGuard {
+        self.start_nanos = self.start_nanos.saturating_sub(nanos);
+        self
+    }
+
+    /// Replace the shard and correlation id once they are known (the chunk
+    /// a seal produced, the rows an operator emitted).
+    pub fn retag(&mut self, shard: u32, txn_id: u64) {
+        self.shard = shard;
+        self.txn_id = txn_id;
+    }
+
+    /// Record the span now and return its duration in nanoseconds (0 for an
+    /// inert span), so one clock feeds both the trace and a stage histogram.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    /// Discard the span without recording it (the stage turned out to be a
+    /// no-op, or the operation it belongs to failed).
+    pub fn cancel(mut self) {
+        self.armed = false;
+    }
+
+    fn close(&mut self) -> u64 {
+        if !std::mem::take(&mut self.armed) {
+            return 0;
+        }
+        let end_nanos = now_nanos();
+        if enabled() {
+            let ev = SpanEvent {
+                category: self.category,
+                shard: self.shard,
+                txn_id: self.txn_id,
+                start_nanos: self.start_nanos,
+                end_nanos,
+            };
+            LOCAL_BUF.with(|b| b.buf.push(&ev));
+        }
+        end_nanos.saturating_sub(self.start_nanos)
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.armed {
-            record_span(self.category, self.shard, self.txn_id, self.start_nanos);
-        }
+        self.close();
     }
 }
 
-/// Begin a span.  Checks the gate once; the returned guard records on drop.
+/// Begin a span — the engine's one stage timer.  Checks the gate once; the
+/// returned guard records on drop or [`SpanGuard::finish`], and `finish`
+/// hands back the duration for the caller's stage histogram:
+///
+/// ```
+/// use olxp_trace::{span, SpanCategory};
+/// let stage = span(SpanCategory::Install, 0, 42);
+/// // ... the timed work ...
+/// let nanos = stage.finish(); // 0 while tracing is off
+/// # let _ = nanos;
+/// ```
 #[inline]
 pub fn span(category: SpanCategory, shard: u32, txn_id: u64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
-            category,
-            shard,
-            txn_id,
-            start_nanos: 0,
-            armed: false,
-        };
-    }
+    let armed = enabled();
     SpanGuard {
         category,
         shard,
         txn_id,
-        start_nanos: now_nanos(),
-        armed: true,
+        start_nanos: if armed { now_nanos() } else { 0 },
+        armed,
     }
 }
 
@@ -414,6 +457,30 @@ mod tests {
         // A second drain returns nothing new.
         let again = take_events();
         assert!(!again.iter().any(|t| t.event.txn_id == 77));
+    }
+
+    #[test]
+    fn finish_backdate_retag_and_cancel() {
+        let _gate = gate_lock();
+        // Age the trace epoch past the backdate so the start cannot saturate.
+        let _ = now_nanos();
+        thread::sleep(std::time::Duration::from_micros(20));
+        set_enabled(true);
+        let mut guard = span(SpanCategory::Compaction, 0, 0).backdate(10_000);
+        guard.retag(4, 90);
+        let nanos = guard.finish();
+        assert!(nanos >= 10_000);
+        span(SpanCategory::Compaction, 5, 91).cancel();
+        set_enabled(false);
+        assert_eq!(span(SpanCategory::Compaction, 6, 92).finish(), 0);
+        let events = take_events();
+        let sealed: Vec<_> = events.iter().filter(|t| t.event.txn_id == 90).collect();
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(sealed[0].event.shard, 4);
+        assert_eq!(sealed[0].event.duration_nanos(), nanos);
+        assert!(!events
+            .iter()
+            .any(|t| t.event.txn_id == 91 || t.event.txn_id == 92));
     }
 
     #[test]

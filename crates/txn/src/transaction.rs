@@ -2,7 +2,7 @@
 
 use crate::isolation::IsolationLevel;
 use crate::TxnId;
-use olxp_storage::{Key, Row, Timestamp};
+use olxp_storage::{Key, Row, Timestamp, WalOp};
 use std::collections::HashMap;
 
 /// Lifecycle state of a transaction.
@@ -16,69 +16,13 @@ pub enum TxnState {
     Aborted,
 }
 
-/// One buffered mutation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WriteOp {
-    /// Insert a new row.
-    Insert {
-        /// Target table.
-        table: String,
-        /// Primary key of the new row.
-        key: Key,
-        /// The row image.
-        row: Row,
-    },
-    /// Replace an existing row.
-    Update {
-        /// Target table.
-        table: String,
-        /// Primary key of the row.
-        key: Key,
-        /// The new row image.
-        row: Row,
-    },
-    /// Delete a row.
-    Delete {
-        /// Target table.
-        table: String,
-        /// Primary key of the row.
-        key: Key,
-    },
-}
-
-impl WriteOp {
-    /// Target table of the operation.
-    pub fn table(&self) -> &str {
-        match self {
-            WriteOp::Insert { table, .. }
-            | WriteOp::Update { table, .. }
-            | WriteOp::Delete { table, .. } => table,
-        }
-    }
-
-    /// Primary key of the affected row.
-    pub fn key(&self) -> &Key {
-        match self {
-            WriteOp::Insert { key, .. }
-            | WriteOp::Update { key, .. }
-            | WriteOp::Delete { key, .. } => key,
-        }
-    }
-
-    /// The new row image, if any (none for deletes).
-    pub fn row(&self) -> Option<&Row> {
-        match self {
-            WriteOp::Insert { row, .. } | WriteOp::Update { row, .. } => Some(row),
-            WriteOp::Delete { .. } => None,
-        }
-    }
-}
-
 /// The ordered list of buffered writes of one transaction, with an index for
-/// read-your-own-writes lookups.
+/// read-your-own-writes lookups.  Each write is held as the [`WalOp`] record
+/// the WAL encodes, so commit hands it to the log, the row store and the
+/// replication log without converting it.
 #[derive(Debug, Default, Clone)]
 pub struct WriteSet {
-    ops: Vec<WriteOp>,
+    ops: Vec<WalOp>,
     /// (table, key) -> index of the latest op touching that row.
     latest: HashMap<(String, Key), usize>,
 }
@@ -90,15 +34,15 @@ impl WriteSet {
     }
 
     /// Append an operation.
-    pub fn push(&mut self, op: WriteOp) {
-        let entry = (op.table().to_string(), op.key().clone());
+    pub fn push(&mut self, op: WalOp) {
+        let entry = (op.table.clone(), op.key.clone());
         self.ops.push(op);
         self.latest.insert(entry, self.ops.len() - 1);
     }
 
-    /// All operations in execution order.
-    pub fn ops(&self) -> &[WriteOp] {
-        &self.ops
+    /// Consume the write set, yielding its operations in execution order.
+    pub fn into_ops(self) -> Vec<WalOp> {
+        self.ops
     }
 
     /// Number of buffered operations.
@@ -119,7 +63,7 @@ impl WriteSet {
     pub fn effective_row(&self, table: &str, key: &Key) -> Option<Option<&Row>> {
         self.latest
             .get(&(table.to_string(), key.clone()))
-            .map(|&idx| self.ops[idx].row())
+            .map(|&idx| self.ops[idx].row.as_ref())
     }
 
     /// Distinct (table, key) pairs written — the lock footprint.
@@ -237,25 +181,26 @@ impl Transaction {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olxp_storage::Value;
+    use olxp_storage::{MutationOp, Value};
 
     fn row(v: i64) -> Row {
         Row::new(vec![Value::Int(v)])
     }
 
+    fn write(op: MutationOp, key: i64, row: Option<Row>) -> WalOp {
+        WalOp {
+            table: "T".into(),
+            op,
+            key: Key::int(key),
+            row,
+        }
+    }
+
     #[test]
     fn write_set_tracks_latest_image_per_key() {
         let mut ws = WriteSet::new();
-        ws.push(WriteOp::Insert {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(10),
-        });
-        ws.push(WriteOp::Update {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(20),
-        });
+        ws.push(write(MutationOp::Insert, 1, Some(row(10))));
+        ws.push(write(MutationOp::Update, 1, Some(row(20))));
         assert_eq!(ws.len(), 2);
         let effective = ws.effective_row("T", &Key::int(1)).unwrap().unwrap();
         assert_eq!(effective[0], Value::Int(20));
@@ -265,15 +210,8 @@ mod tests {
     #[test]
     fn delete_shows_as_some_none() {
         let mut ws = WriteSet::new();
-        ws.push(WriteOp::Insert {
-            table: "T".into(),
-            key: Key::int(1),
-            row: row(10),
-        });
-        ws.push(WriteOp::Delete {
-            table: "T".into(),
-            key: Key::int(1),
-        });
+        ws.push(write(MutationOp::Insert, 1, Some(row(10))));
+        ws.push(write(MutationOp::Delete, 1, None));
         assert_eq!(ws.effective_row("T", &Key::int(1)), Some(None));
     }
 
@@ -281,11 +219,7 @@ mod tests {
     fn touched_keys_deduplicates() {
         let mut ws = WriteSet::new();
         for _ in 0..3 {
-            ws.push(WriteOp::Update {
-                table: "T".into(),
-                key: Key::int(7),
-                row: row(1),
-            });
+            ws.push(write(MutationOp::Update, 7, Some(row(1))));
         }
         assert_eq!(ws.touched_keys().count(), 1);
     }
