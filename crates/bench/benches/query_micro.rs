@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use olxpbench::prelude::*;
 use olxpbench::query::{
-    execute, execute_with, expr::like_match, ColumnSource, ExecOptions, RowSource,
+    execute, execute_with, expr::like_match, ColumnSource, ExecOptions, ShardedRowSource,
 };
 use olxpbench::storage::{ColumnTable, RowTable};
 use std::collections::HashMap;
@@ -84,8 +84,7 @@ fn bench_plans(c: &mut Criterion) {
     let mut group = c.benchmark_group("plan_exec");
     group.measurement_time(Duration::from_millis(800));
     group.sample_size(15);
-    let tables = orders_fixture(10_000);
-    let source = RowSource::new(&tables, 10);
+    let source = ShardedRowSource::new(vec![Arc::new(orders_fixture(10_000))], 10);
 
     let filter_plan =
         QueryBuilder::scan_where("ORDERS", col(2).gt(lit(Value::Decimal(900)))).build();
@@ -126,6 +125,85 @@ fn bench_plans(c: &mut Criterion) {
         .build();
     group.bench_function("global_aggregate_10k", |b| {
         b.iter(|| execute(&agg_plan, &source).unwrap().rows.len())
+    });
+    group.finish();
+}
+
+/// fibenchmark's SAVINGS and CHECKING (`custid` primary key, `bal`) with
+/// `accounts` rows each, in one row-store partition read at ts 10.
+fn accounts_source(accounts: i64) -> ShardedRowSource {
+    let mut tables = HashMap::new();
+    for name in ["SAVINGS", "CHECKING"] {
+        let table = Arc::new(RowTable::new(Arc::new(
+            TableSchema::new(
+                name,
+                vec![
+                    ColumnDef::new("custid", DataType::Int, false),
+                    ColumnDef::new("bal", DataType::Decimal, false),
+                ],
+                vec!["custid"],
+            )
+            .unwrap(),
+        )));
+        for id in 0..accounts {
+            table
+                .insert(
+                    Row::new(vec![Value::Int(id), Value::Decimal(10_000 + id % 977)]),
+                    1,
+                )
+                .unwrap();
+        }
+        tables.insert(name.to_string(), table);
+    }
+    ShardedRowSource::new(vec![Arc::new(tables)], 10)
+}
+
+/// The real-time queries of fibenchmark's hybrid transactions over the MVCC
+/// row store: X2's primary-key-equality join, and X1's whole-table aggregate
+/// run by two threads at once on one table.
+fn bench_row_store(c: &mut Criterion) {
+    let mut group = c.benchmark_group("row_store");
+    group.measurement_time(Duration::from_millis(800));
+    group.sample_size(15);
+    let source = accounts_source(2_000);
+
+    let custid = 1_234i64;
+    let pk_eq_plan = QueryBuilder::scan_where("SAVINGS", col(0).eq(lit(custid)))
+        .join(
+            QueryBuilder::scan_where("CHECKING", col(0).eq(lit(custid))),
+            vec![0],
+            vec![0],
+            JoinKind::Inner,
+        )
+        .aggregate(
+            vec![],
+            vec![AggSpec::new(AggFunc::Max, 1), AggSpec::new(AggFunc::Max, 3)],
+        )
+        .build();
+    group.bench_function("row_pk_eq_filter_2k", |b| {
+        b.iter(|| execute(&pk_eq_plan, &source).unwrap().rows.len())
+    });
+
+    let agg_plan = QueryBuilder::scan("CHECKING")
+        .aggregate(
+            vec![],
+            vec![AggSpec::new(AggFunc::Avg, 1), AggSpec::new(AggFunc::Min, 1)],
+        )
+        .build();
+    // Each iteration is 16 aggregates per thread, so the thread start-up
+    // is small next to the scans it measures.
+    group.bench_function("row_scan_aggregate_2k_two_threads", |b| {
+        b.iter(|| {
+            std::thread::scope(|scope| {
+                for _ in 0..2 {
+                    scope.spawn(|| {
+                        for _ in 0..16 {
+                            execute(&agg_plan, &source).unwrap();
+                        }
+                    });
+                }
+            })
+        })
     });
     group.finish();
 }
@@ -221,5 +299,11 @@ fn bench_vectorized(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_expressions, bench_plans, bench_vectorized);
+criterion_group!(
+    benches,
+    bench_expressions,
+    bench_plans,
+    bench_row_store,
+    bench_vectorized
+);
 criterion_main!(benches);

@@ -7,6 +7,7 @@ use olxpbench::storage::{
     BufferPool, ColumnPredicate, ColumnTable, MutationOp, PredicateOp, PruningMode, ReplicationLog,
     Replicator, RowTable, ScanPredicate,
 };
+use std::ops::Bound;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -79,7 +80,9 @@ fn bench_rowstore(c: &mut Criterion) {
     group.bench_function("batched_scan_10k", |b| {
         b.iter(|| {
             let mut count = 0usize;
-            table.scan_batches(10, 1024, |batch| count += batch.num_rows());
+            table.scan_batches(Bound::Unbounded, Bound::Unbounded, 10, 1024, |batch| {
+                count += batch.num_rows()
+            });
             count
         })
     });

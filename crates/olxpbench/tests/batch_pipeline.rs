@@ -4,7 +4,7 @@
 //! guarantee on a large columnar scan.
 
 use olxpbench::prelude::*;
-use olxpbench::query::{execute_with, ColumnSource, ExecOptions, RowSource};
+use olxpbench::query::{execute_with, ColumnSource, ExecOptions, ShardedRowSource};
 use olxpbench::storage::{ColumnTable, RowTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -212,8 +212,8 @@ fn plan_for_shape(shape: u8, knob: i64) -> Plan {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every plan shape returns identical rows through `RowSource`
-    /// row-at-a-time, `RowSource` batched and `ColumnSource` batched —
+    /// Every plan shape returns identical rows through the row source
+    /// row-at-a-time, the row source batched and `ColumnSource` batched —
     /// including tables with deleted slots and batch sizes that force a
     /// partial final batch.
     #[test]
@@ -226,7 +226,7 @@ proptest! {
     ) {
         let (row_tables, col_tables) = build_tables(&rows, &delete_picks);
         let plan = plan_for_shape(shape, knob);
-        let row_src = RowSource::new(&row_tables, 10);
+        let row_src = ShardedRowSource::new(vec![Arc::new(row_tables)], 10);
         let col_src = ColumnSource::new(&col_tables);
 
         let baseline = execute_with(
@@ -242,7 +242,7 @@ proptest! {
 
         prop_assert_eq!(
             &row_batched.rows, &baseline.rows,
-            "RowSource batched diverged (shape {}, batch_size {})", shape, batch_size
+            "row source batched diverged (shape {}, batch_size {})", shape, batch_size
         );
         prop_assert_eq!(
             &col_batched.rows, &baseline.rows,

@@ -1,4 +1,4 @@
-//! Property-based equivalence of pruned and unpruned columnar scans.
+//! Property-based equivalence of pruned and unpruned scans.
 //!
 //! Chunk pruning (zone maps + fingerprint filters) is a pure optimization: it
 //! may only skip chunks that provably contain no matching live rows, so a
@@ -8,10 +8,18 @@
 //! structures), and for every sargable predicate shape the extractor
 //! understands (equality, ranges, AND-conjunctions) as well as
 //! non-sargable filters that prune nothing.
+//!
+//! The row store's counterpart — narrowing a scan to the primary-key range
+//! pinned by equality conjuncts — is held to the same standard: identical
+//! rows to the full scan under [`PruningMode::Off`], never more keys
+//! examined.
 
+use olxpbench::engine::shard_of;
 use olxpbench::prelude::*;
-use olxpbench::query::{execute_with, ColumnSource, ExecOptions, Expr, Plan};
-use olxpbench::storage::{ColumnTable, PruningMode};
+use olxpbench::query::{
+    execute_with, ChunkPruner, ColumnSource, DataSource, ExecOptions, Expr, Plan, ShardedRowSource,
+};
+use olxpbench::storage::{ColumnTable, PruningMode, RowTable};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -171,5 +179,159 @@ proptest! {
         let baseline = scan(&table, &plan, PruningMode::Off);
         let pruned = scan(&table, &plan, PruningMode::Both);
         prop_assert_eq!(pruned, baseline);
+    }
+}
+
+/// Table `R(a, b, v)` with the composite primary key `(a, b)`.
+fn composite_schema() -> Arc<TableSchema> {
+    Arc::new(
+        TableSchema::new(
+            "R",
+            vec![
+                ColumnDef::new("a", DataType::Int, false),
+                ColumnDef::new("b", DataType::Int, false),
+                ColumnDef::new("v", DataType::Int, false),
+            ],
+            vec!["a", "b"],
+        )
+        .unwrap(),
+    )
+}
+
+/// A generated row-store filter: primary-key-prefix equalities in either
+/// conjunct order, a literal of another numeric type on the leading key
+/// column, an equality on the non-leading key column only, and extra
+/// non-key conjuncts.
+#[derive(Debug, Clone)]
+enum KeyFilter {
+    EqA(i64),
+    EqAB(i64, i64),
+    EqBA(i64, i64),
+    DecimalA(i64),
+    FloatA(i64),
+    EqB(i64),
+    EqAAndV(i64, i64),
+    EqABAndV(i64, i64, i64),
+}
+
+impl KeyFilter {
+    fn expr(&self) -> Expr {
+        let a = |x: i64| col(0).eq(lit(Value::Int(x)));
+        let b = |x: i64| col(1).eq(lit(Value::Int(x)));
+        match *self {
+            KeyFilter::EqA(x) => a(x),
+            KeyFilter::EqAB(x, y) => a(x).and(b(y)),
+            KeyFilter::EqBA(x, y) => b(y).and(a(x)),
+            KeyFilter::DecimalA(x) => col(0).eq(lit(Value::Decimal(x * 100))),
+            KeyFilter::FloatA(x) => lit(Value::Float(x as f64)).eq(col(0)),
+            KeyFilter::EqB(y) => b(y),
+            KeyFilter::EqAAndV(x, v) => a(x).and(col(2).ge(lit(Value::Int(v)))),
+            KeyFilter::EqABAndV(x, y, v) => a(x).and(col(2).lt(lit(Value::Int(v)))).and(b(y)),
+        }
+    }
+}
+
+fn key_filter_strategy() -> impl Strategy<Value = KeyFilter> {
+    let k = -1i64..7;
+    let v = -10i64..10;
+    prop_oneof![
+        k.clone().prop_map(KeyFilter::EqA),
+        (k.clone(), k.clone()).prop_map(|(x, y)| KeyFilter::EqAB(x, y)),
+        (k.clone(), k.clone()).prop_map(|(x, y)| KeyFilter::EqBA(x, y)),
+        k.clone().prop_map(KeyFilter::DecimalA),
+        k.clone().prop_map(KeyFilter::FloatA),
+        k.clone().prop_map(KeyFilter::EqB),
+        (k.clone(), v.clone()).prop_map(|(x, v)| KeyFilter::EqAAndV(x, v)),
+        (k.clone(), k, v).prop_map(|(x, y, v)| KeyFilter::EqABAndV(x, y, v)),
+    ]
+}
+
+/// Hash-partition `R` over `partitions` row tables: inserts at ts 10,
+/// updates at ts 20, deletes at ts 30, re-inserts of the deleted keys at
+/// ts 40 (indices taken modulo the inserted keys).
+fn build_partitions(
+    rows: &[(i64, i64, i64)],
+    updates: &[(usize, i64)],
+    deletes: &[usize],
+    partitions: usize,
+) -> Vec<Arc<HashMap<String, Arc<RowTable>>>> {
+    let parts: Vec<Arc<RowTable>> = (0..partitions)
+        .map(|_| Arc::new(RowTable::new(composite_schema())))
+        .collect();
+    let part = |key: &Key| &parts[shard_of("R", key, partitions)];
+    let mut keys: Vec<(i64, i64)> = Vec::new();
+    for &(a, b, v) in rows {
+        if !keys.contains(&(a, b)) {
+            keys.push((a, b));
+            let row = Row::new(vec![Value::Int(a), Value::Int(b), Value::Int(v)]);
+            part(&Key::ints(&[a, b])).insert(row, 10).unwrap();
+        }
+    }
+    for &(i, v) in updates {
+        let (a, b) = keys[i % keys.len()];
+        let key = Key::ints(&[a, b]);
+        let row = Row::new(vec![Value::Int(a), Value::Int(b), Value::Int(v)]);
+        part(&key).update(&key, row, 20).unwrap();
+    }
+    let mut deleted = Vec::new();
+    for &i in deletes {
+        let (a, b) = keys[i % keys.len()];
+        let key = Key::ints(&[a, b]);
+        if !deleted.contains(&key) {
+            part(&key).delete(&key, 30).unwrap();
+            deleted.push(key);
+        }
+    }
+    for key in deleted.iter().step_by(2) {
+        let mut values = key.parts().to_vec();
+        values.push(Value::Int(99));
+        part(key).insert(Row::new(values), 40).unwrap();
+    }
+    parts
+        .into_iter()
+        .map(|t| Arc::new(HashMap::from([("R".to_string(), t)])))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Narrowing a row-store scan to the primary-key range returns exactly
+    /// the rows of the full scan, at every snapshot of a mutation history
+    /// and at 1 and 4 partitions, and never examines more keys.
+    #[test]
+    fn row_key_range_scan_equals_full_scan(
+        rows in proptest::collection::vec((0i64..6, 0i64..6, -10i64..10), 1..40),
+        updates in proptest::collection::vec((0usize..64, -10i64..10), 0..12),
+        deletes in proptest::collection::vec(0usize..64, 0..12),
+        filter in key_filter_strategy(),
+    ) {
+        let plan = QueryBuilder::scan_where("R", filter.expr()).build();
+        for partitions in [1, 4] {
+            let shards = build_partitions(&rows, &updates, &deletes, partitions);
+            for read_ts in [5, 15, 25, 35, 45] {
+                let source = ShardedRowSource::new(shards.clone(), read_ts);
+                let run = |mode: PruningMode| {
+                    let opts = ExecOptions::batched(3).with_pruning(mode);
+                    let out = execute_with(&plan, &source, opts).expect("scan succeeds");
+                    let pruner = ChunkPruner::from_filter(&filter.expr(), mode);
+                    let slots = source
+                        .scan_batches_pruned("R", 3, pruner.as_ref(), &mut |_| {})
+                        .expect("scan succeeds")
+                        .slots_examined;
+                    (out.rows, slots)
+                };
+                let (full_rows, full_slots) = run(PruningMode::Off);
+                let (range_rows, range_slots) = run(PruningMode::Both);
+                prop_assert_eq!(
+                    &range_rows, &full_rows,
+                    "{:?} diverged at ts {} over {} partitions", filter, read_ts, partitions
+                );
+                prop_assert!(
+                    range_slots <= full_slots,
+                    "{:?} examined {} > {} keys", filter, range_slots, full_slots
+                );
+            }
+        }
     }
 }

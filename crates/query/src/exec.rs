@@ -39,8 +39,9 @@ pub struct ExecOptions {
     /// How base-table scans are consumed.
     pub scan_mode: ScanMode,
     /// Which chunk-pruning structures batched scans may consult.  Sargable
-    /// conjuncts of the scan filter are pushed down as a [`ChunkPruner`];
-    /// sources without pruning structures (the row stores) ignore it.
+    /// conjuncts of the scan filter are pushed down as a [`ChunkPruner`]:
+    /// the column store skips chunks with it and the row store narrows the
+    /// scan to a primary-key range.  [`PruningMode::Off`] scans everything.
     pub pruning: PruningMode,
 }
 
@@ -875,12 +876,13 @@ mod tests {
     use super::*;
     use crate::builder::QueryBuilder;
     use crate::expr::{col, lit};
-    use crate::source::RowSource;
+    use crate::source::ShardedRowSource;
     use olxp_storage::{ColumnDef, DataType, Key, RowTable, TableSchema};
     use std::collections::HashMap as StdHashMap;
     use std::sync::Arc;
 
-    fn fixture() -> StdHashMap<String, Arc<RowTable>> {
+    /// ORDERS and CUSTOMER in one row-store partition, read at ts 10.
+    fn fixture() -> ShardedRowSource {
         let orders = Arc::new(RowTable::new(Arc::new(
             TableSchema::new(
                 "ORDERS",
@@ -920,13 +922,12 @@ mod tests {
         let mut tables = StdHashMap::new();
         tables.insert("ORDERS".to_string(), orders);
         tables.insert("CUSTOMER".to_string(), customers);
-        tables
+        ShardedRowSource::new(vec![Arc::new(tables)], 10)
     }
 
     #[test]
     fn scan_filter_project() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(1).eq(lit(10)))
             .project(vec![col(0), col(2)])
@@ -941,8 +942,7 @@ mod tests {
 
     #[test]
     fn index_scan_uses_prefix() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::index_scan("ORDERS", None, Key::int(3)).build();
         let out = execute(&plan, &source).unwrap();
         assert_eq!(out.rows.len(), 1);
@@ -952,8 +952,7 @@ mod tests {
 
     #[test]
     fn inner_and_left_outer_join() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let inner = QueryBuilder::scan("ORDERS")
             .join(
                 QueryBuilder::scan("CUSTOMER"),
@@ -988,8 +987,7 @@ mod tests {
 
     #[test]
     fn group_by_aggregation() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .aggregate(
                 vec![1],
@@ -1014,8 +1012,7 @@ mod tests {
 
     #[test]
     fn global_aggregate_on_empty_input_yields_one_row() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(0).gt(lit(1000)))
             .aggregate(
@@ -1034,8 +1031,7 @@ mod tests {
 
     #[test]
     fn sort_and_limit() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .sort(vec![SortKey::desc(2)])
             .limit(2)
@@ -1048,8 +1044,7 @@ mod tests {
 
     #[test]
     fn malformed_join_is_rejected() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .join(
                 QueryBuilder::scan("CUSTOMER"),
@@ -1094,8 +1089,7 @@ mod tests {
 
     #[test]
     fn batched_and_row_at_a_time_agree_on_every_operator() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plans = vec![
             QueryBuilder::scan("ORDERS")
                 .filter(col(2).ge(lit(Value::Decimal(300))))
@@ -1151,8 +1145,7 @@ mod tests {
 
     #[test]
     fn limit_narrows_batch_selection() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").limit(3).build();
         let out = execute_with(&plan, &source, ExecOptions::batched(2)).unwrap();
         assert_eq!(out.rows.len(), 3);
@@ -1162,8 +1155,7 @@ mod tests {
 
     #[test]
     fn filter_errors_propagate_from_batches() {
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS")
             .filter(col(99).eq(lit(1)))
             .build();
@@ -1177,8 +1169,7 @@ mod tests {
     fn zero_width_projection_keeps_cardinality() {
         // SELECT (no columns) FROM ORDERS — degenerate, but the batch
         // pipeline must not lose the row count when width is 0.
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").project(vec![]).build();
         let batched = execute_with(&plan, &source, ExecOptions::batched(3)).unwrap();
         let row_mode = execute_with(&plan, &source, ExecOptions::row_at_a_time()).unwrap();
@@ -1193,8 +1184,7 @@ mod tests {
         assert_eq!(opts.batch_size, 1);
         let opts = ExecOptions::default().with_batch_size(0);
         assert_eq!(opts.batch_size, 1);
-        let tables = fixture();
-        let source = RowSource::new(&tables, 10);
+        let source = fixture();
         let plan = QueryBuilder::scan("ORDERS").build();
         let out = execute_with(
             &plan,

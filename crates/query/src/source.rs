@@ -1,18 +1,20 @@
 //! Data sources the executor reads from.
 //!
 //! A [`DataSource`] abstracts over "where do base-table rows come from":
-//! [`RowSource`] reads MVCC row tables at a snapshot timestamp (the only
-//! option for statements inside a transaction, including the real-time query
-//! of a hybrid transaction), while [`ColumnSource`] reads the columnar
-//! replicas (what the dual-engine architecture uses for standalone analytical
-//! queries).
+//! [`ShardedRowSource`] reads the (hash-partitioned) MVCC row tables at a
+//! snapshot timestamp (the only option for statements inside a transaction,
+//! including the real-time query of a hybrid transaction), while
+//! [`ColumnSource`] reads the columnar replicas (what the dual-engine
+//! architecture uses for standalone analytical queries).
 
 use crate::error::{QueryError, QueryResult};
 use crate::prune::ChunkPruner;
 use olxp_storage::{
-    ColumnBatch, ColumnTable, Key, PruningMode, Row, RowTable, ScanOutcome, TableSchema, Timestamp,
+    ColumnBatch, ColumnTable, Key, PruningMode, Row, RowTable, ScanOutcome, ScanPredicate,
+    TableSchema, Timestamp,
 };
 use std::collections::HashMap;
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Which physical store served a scan; drives the cost model.
@@ -57,11 +59,13 @@ pub trait DataSource {
     ) -> QueryResult<usize>;
 
     /// Vectorized scan with an optional chunk pruner pushed down from the
-    /// executor.  Sources with pruning structures (the column store) skip
-    /// chunks that provably or probably cannot satisfy the pruner's
-    /// predicate; the default implementation ignores the pruner and scans
-    /// everything (the row stores have no chunk summaries), reporting the
-    /// examined slots with zeroed chunk counters.
+    /// executor.  The pruner's predicate is a necessary condition on matching
+    /// rows, so a source may skip anything that cannot satisfy it: the column
+    /// store skips chunks by zone map and fingerprint filter, and the row
+    /// store narrows the scan to the primary-key range pinned by equality
+    /// conjuncts on the leading key columns.  The default implementation
+    /// ignores the pruner and scans everything, reporting the examined slots
+    /// with zeroed chunk counters.
     fn scan_batches_pruned(
         &self,
         table: &str,
@@ -86,83 +90,14 @@ pub trait DataSource {
     ) -> QueryResult<(Vec<Row>, usize)>;
 }
 
-/// [`DataSource`] over MVCC row tables at a fixed snapshot.
-pub struct RowSource<'a> {
-    tables: &'a HashMap<String, Arc<RowTable>>,
-    read_ts: Timestamp,
-}
-
-impl<'a> RowSource<'a> {
-    /// Create a source reading the given tables at `read_ts`.
-    pub fn new(tables: &'a HashMap<String, Arc<RowTable>>, read_ts: Timestamp) -> RowSource<'a> {
-        RowSource { tables, read_ts }
-    }
-
-    fn table(&self, name: &str) -> QueryResult<&Arc<RowTable>> {
-        self.tables.get(name).ok_or_else(|| {
-            QueryError::Storage(olxp_storage::StorageError::TableNotFound(name.into()))
-        })
-    }
-}
-
-impl DataSource for RowSource<'_> {
-    fn kind(&self) -> SourceKind {
-        SourceKind::RowStore
-    }
-
-    fn schema(&self, table: &str) -> QueryResult<Arc<TableSchema>> {
-        Ok(Arc::clone(self.table(table)?.schema()))
-    }
-
-    fn scan(&self, table: &str, f: &mut dyn FnMut(&Row)) -> QueryResult<usize> {
-        let t = self.table(table)?;
-        let examined = t.scan(self.read_ts, |_, row| f(row));
-        Ok(examined)
-    }
-
-    fn scan_batches(
-        &self,
-        table: &str,
-        batch_size: usize,
-        f: &mut dyn FnMut(&ColumnBatch<'_>),
-    ) -> QueryResult<usize> {
-        let t = self.table(table)?;
-        Ok(t.scan_batches(self.read_ts, batch_size, |batch| f(&batch)))
-    }
-
-    fn index_lookup(
-        &self,
-        table: &str,
-        index: Option<usize>,
-        prefix: &Key,
-    ) -> QueryResult<(Vec<Row>, usize)> {
-        let t = self.table(table)?;
-        match index {
-            None => {
-                let mut rows = Vec::new();
-                let examined = t.prefix_scan(prefix, self.read_ts, |_, row| {
-                    rows.push(Row::clone(row));
-                });
-                Ok((rows, examined.max(1)))
-            }
-            Some(pos) => {
-                let (pairs, examined) = t.index_lookup(pos, prefix, self.read_ts)?;
-                Ok((
-                    pairs.into_iter().map(|(_, row)| Row::clone(&row)).collect(),
-                    examined,
-                ))
-            }
-        }
-    }
-}
-
 /// [`DataSource`] over the per-shard partitions of hash-partitioned MVCC row
 /// tables, all read at one snapshot.
 ///
 /// Each shard owns a disjoint slice of every table's keys, so a scan is the
 /// concatenation of the per-shard scans (shard-major order) and an index
-/// lookup is the union of the per-shard lookups.  With one shard this is
-/// exactly [`RowSource`].
+/// lookup is the union of the per-shard lookups.  An unsharded set of tables
+/// is the one-partition case:
+/// `ShardedRowSource::new(vec![Arc::new(tables)], read_ts)`.
 pub struct ShardedRowSource {
     shards: Vec<Arc<HashMap<String, Arc<RowTable>>>>,
     read_ts: Timestamp,
@@ -215,11 +150,42 @@ impl DataSource for ShardedRowSource {
         batch_size: usize,
         f: &mut dyn FnMut(&ColumnBatch<'_>),
     ) -> QueryResult<usize> {
-        let mut examined = 0;
-        for part in self.partitions(table)? {
-            examined += part.scan_batches(self.read_ts, batch_size, |batch| f(&batch));
+        Ok(self
+            .scan_batches_pruned(table, batch_size, None, f)?
+            .slots_examined)
+    }
+
+    fn scan_batches_pruned(
+        &self,
+        table: &str,
+        batch_size: usize,
+        pruner: Option<&ChunkPruner>,
+        f: &mut dyn FnMut(&ColumnBatch<'_>),
+    ) -> QueryResult<ScanOutcome> {
+        let parts = self.partitions(table)?;
+        // Every row the filter can match has a key starting with `prefix`,
+        // so `[prefix, upper)` is a superset of the matches; the executor
+        // re-applies the full filter to every row either way.
+        let prefix = match pruner {
+            Some(p) => primary_key_prefix(parts[0].schema(), p.predicate()),
+            None => Key::default(),
+        };
+        let upper = prefix.prefix_upper_bound();
+        let low = if prefix.is_empty() {
+            Bound::Unbounded
+        } else {
+            Bound::Included(&prefix)
+        };
+        let high = upper.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
+        let mut slots_examined = 0;
+        for part in parts {
+            slots_examined +=
+                part.scan_batches(low, high, self.read_ts, batch_size, |batch| f(&batch));
         }
-        Ok(examined)
+        Ok(ScanOutcome {
+            slots_examined,
+            ..ScanOutcome::default()
+        })
     }
 
     fn index_lookup(
@@ -246,6 +212,26 @@ impl DataSource for ShardedRowSource {
         }
         Ok((rows, examined.max(1)))
     }
+}
+
+/// The primary-key prefix pinned by the equality conjuncts of `predicate`:
+/// one literal per leading key column, in key order, up to the first column
+/// without one.  A literal whose type differs from the column's declared type
+/// ends the prefix too, since its position in the key order need not match
+/// the filter's comparison.
+fn primary_key_prefix(schema: &TableSchema, predicate: &ScanPredicate) -> Key {
+    let mut parts = Vec::new();
+    for &column in schema.primary_key() {
+        let declared = schema.columns()[column].dtype;
+        match predicate
+            .equality_predicates()
+            .find(|p| p.column == column && p.value.data_type() == Some(declared))
+        {
+            Some(p) => parts.push(p.value.clone()),
+            None => break,
+        }
+    }
+    Key::new(parts)
 }
 
 /// [`DataSource`] over columnar replicas (latest replicated state).
@@ -374,7 +360,7 @@ mod tests {
         let mut tables = HashMap::new();
         tables.insert("ITEM".to_string(), Arc::clone(&table));
 
-        let source = RowSource::new(&tables, 15);
+        let source = ShardedRowSource::new(vec![Arc::new(tables)], 15);
         let mut count = 0;
         source.scan("ITEM", &mut |_| count += 1).unwrap();
         assert_eq!(count, 5, "row committed at ts 20 is invisible at ts 15");
@@ -438,9 +424,66 @@ mod tests {
     }
 
     #[test]
+    fn row_source_narrows_to_the_primary_key_prefix() {
+        use crate::expr::{col, lit};
+        let schema = Arc::new(
+            TableSchema::new(
+                "LINE",
+                vec![
+                    ColumnDef::new("o_id", DataType::Int, false),
+                    ColumnDef::new("l_no", DataType::Int, false),
+                    ColumnDef::new("amount", DataType::Decimal, false),
+                ],
+                vec!["o_id", "l_no"],
+            )
+            .unwrap(),
+        );
+        let table = Arc::new(RowTable::new(schema));
+        for o in 0..4 {
+            for l in 0..5 {
+                let row = Row::new(vec![Value::Int(o), Value::Int(l), Value::Decimal(l)]);
+                table.insert(row, 10).unwrap();
+            }
+        }
+        let mut tables = HashMap::new();
+        tables.insert("LINE".to_string(), table);
+        let source = ShardedRowSource::new(vec![Arc::new(tables)], 15);
+        let examined = |filter: &crate::expr::Expr, mode: PruningMode| {
+            let pruner = ChunkPruner::from_filter(filter, mode);
+            source
+                .scan_batches_pruned("LINE", 4, pruner.as_ref(), &mut |_| {})
+                .unwrap()
+                .slots_examined
+        };
+        let o2 = col(0).eq(lit(Value::Int(2)));
+        let cases = [
+            (o2.clone(), 5, "leading key column pinned"),
+            (
+                o2.clone().and(col(1).eq(lit(Value::Int(3)))),
+                1,
+                "whole key pinned",
+            ),
+            (
+                col(2).eq(lit(Value::Decimal(3))).and(o2.clone()),
+                5,
+                "non-key conjuncts stay residual",
+            ),
+            (
+                col(1).eq(lit(Value::Int(3))),
+                20,
+                "no leading-column equality",
+            ),
+            (col(0).eq(lit(Value::Decimal(200))), 20, "mistyped literal"),
+        ];
+        for (filter, keys, why) in cases {
+            assert_eq!(examined(&filter, PruningMode::Both), keys, "{why}");
+        }
+        assert_eq!(examined(&o2, PruningMode::Off), 20, "Off scans everything");
+    }
+
+    #[test]
     fn unknown_table_is_an_error() {
-        let tables = HashMap::new();
-        let source = RowSource::new(&tables, 1);
+        let source = ShardedRowSource::new(vec![Arc::new(HashMap::new())], 1);
         assert!(source.scan("NOPE", &mut |_| {}).is_err());
         assert!(source.schema("NOPE").is_err());
     }
