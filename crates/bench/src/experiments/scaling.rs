@@ -160,6 +160,7 @@ pub fn shard_scaling(opts: ExpOptions) -> String {
         // experiment's force is not amortised across a batch.
         let mut config = EngineConfig::dual_engine()
             .with_nodes(1)
+            .with_time_scale(opts.time_scale)
             .with_shards(shards)
             .with_durability(
                 DurabilityConfig::at(dir.display().to_string()).with_sync(SyncPolicy::Never),

@@ -11,10 +11,10 @@
 use crate::config::{AgentConfig, BenchConfig, LoopMode};
 use crate::error::{BenchError, BenchResult};
 use crate::generator::{OpenLoopSchedule, RequestSchedule, WeightedChoice};
-use crate::report::{FreshnessSummary, LatencySummary, ShardSummary, StageSummary, TimelinePoint};
+use crate::report::{FreshnessSummary, LatencySummary, ShardSummary, StageSummary};
 use crate::stats::LatencyRecorder;
 use crate::workload::{AnalyticalQuery, HybridTransaction, OnlineTransaction, Workload};
-use olxp_engine::{HybridDatabase, MetricsSnapshot, Session};
+use olxp_engine::{HybridDatabase, MetricsSnapshot, Session, TelemetryPoint};
 use olxp_txn::LockStatsSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -107,7 +107,7 @@ pub struct BenchmarkResult {
     /// The engine's sampled telemetry timeline over the run (warm-up
     /// included), rebased so `t_ms == 0` at the driver's start.  Empty when
     /// the telemetry sampler is disabled.
-    pub timeline: Vec<TimelinePoint>,
+    pub timeline: Vec<TelemetryPoint>,
 }
 
 impl BenchmarkResult {
@@ -299,6 +299,8 @@ impl BenchmarkDriver {
             None
         };
 
+        let mut timeline = db.telemetry_points_since(telemetry_t0);
+        timeline.iter_mut().for_each(|p| p.t_ms -= telemetry_t0);
         let window = self.config.duration;
         Ok(BenchmarkResult {
             label: self.config.label.clone(),
@@ -344,15 +346,7 @@ impl BenchmarkDriver {
                 .map(|record| record.format())
                 .collect(),
             freshness_timeouts: delta.freshness_timeouts,
-            timeline: db
-                .telemetry_points_since(telemetry_t0)
-                .iter()
-                .map(|point| {
-                    let mut p = TimelinePoint::from(point);
-                    p.t_ms -= telemetry_t0;
-                    p
-                })
-                .collect(),
+            timeline,
         })
     }
 

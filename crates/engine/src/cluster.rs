@@ -18,8 +18,6 @@
 use crate::config::{EngineArchitecture, EngineConfig};
 use olxp_storage::{BufferPool, Key};
 use parking_lot::{Condvar, Mutex};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -152,13 +150,10 @@ impl Cluster {
         &self.nodes[id]
     }
 
-    /// The storage node owning `(table, key)`.
+    /// The storage node owning `(table, key)`: the same hash partitioning
+    /// as [`crate::shard_of`], over the storage nodes.
     pub fn partition_for(&self, table: &str, key: &Key) -> NodeId {
-        let mut hasher = DefaultHasher::new();
-        table.hash(&mut hasher);
-        key.hash(&mut hasher);
-        let idx = (hasher.finish() as usize) % self.storage_nodes.len();
-        self.storage_nodes[idx]
+        self.storage_nodes[crate::shard_of(table, key, self.storage_nodes.len())]
     }
 
     /// The storage node owning a whole-table operation (scans start here and
@@ -272,6 +267,25 @@ mod tests {
         let b = cluster.partition_for("ITEM", &Key::int(42));
         assert_eq!(a, b);
         assert!(cluster.storage_nodes().contains(&a));
+    }
+
+    #[test]
+    fn partitioning_matches_the_sip_hash_placement() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        for nodes in 1..=8 {
+            let cluster = Cluster::from_config(&EngineConfig::single_engine().with_nodes(nodes));
+            let storage = cluster.storage_nodes();
+            assert_eq!(storage.len(), nodes);
+            for i in 0..10_000 {
+                let key = Key::int(i);
+                let mut hasher = DefaultHasher::new();
+                "ACCOUNT".hash(&mut hasher);
+                key.hash(&mut hasher);
+                let expected = storage[(hasher.finish() as usize) % storage.len()];
+                assert_eq!(cluster.partition_for("ACCOUNT", &key), expected);
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::metrics::{EngineMetrics, MetricsSnapshot, WalMetrics, WorkClass};
 use crate::session::Session;
 use crate::slowlog::{SlowQueryLog, SlowTxnLog};
 use crate::telemetry::{self, HealthReport, TelemetrySampler, TelemetryState};
+use crate::timeseries::TelemetryPoint;
 use olxp_storage::checkpoint::{load_latest_checkpoint, write_checkpoint};
 use olxp_storage::wal::{ReplayedRecord, WalReplay};
 use olxp_storage::{
@@ -24,7 +25,7 @@ use olxp_storage::{
     Replicator, Row, RowTable, StorageError, TableCheckpoint, TableSchema, Timestamp, Wal, WalOp,
     WalRecord,
 };
-use olxp_trace::{SpanCategory, TelemetryPoint, TelemetryServer};
+use olxp_trace::{SpanCategory, TelemetryServer};
 use olxp_txn::TransactionManager;
 use parking_lot::{Condvar, Mutex, RwLock, RwLockReadGuard};
 use std::collections::hash_map::DefaultHasher;
@@ -1399,11 +1400,6 @@ impl HybridDatabase {
             .iter()
             .map(|s| s.row_tables.read().get(table).map_or(0, |t| t.key_count()))
             .sum()
-    }
-
-    /// Look up the partition (storage node) owning a key.
-    pub fn partition_for(&self, table: &str, key: &Key) -> usize {
-        self.cluster.partition_for(table, key)
     }
 }
 

@@ -39,6 +39,7 @@ pub mod metrics;
 pub mod session;
 pub mod slowlog;
 pub mod telemetry;
+pub mod timeseries;
 
 pub use cluster::{Cluster, NodeId};
 pub use config::{DurabilityConfig, EngineArchitecture, EngineConfig, FreshnessPolicy};
@@ -51,3 +52,4 @@ pub use olxp_storage::SyncPolicy;
 pub use session::{Session, TxnHandle};
 pub use slowlog::{SlowQueryLog, SlowQueryRecord, SlowTxnLog, SlowTxnRecord};
 pub use telemetry::{HealthCheck, HealthReport, TelemetryState};
+pub use timeseries::{TelemetryPoint, TimeSeriesRing};

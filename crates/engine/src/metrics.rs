@@ -3,9 +3,18 @@
 //! The experiment harness reads these counters to compute the quantities the
 //! paper reports beyond plain latency/throughput: the normalized lock overhead
 //! of Figure 4, scan volumes, buffer-pool churn and replication lag.
+//!
+//! Every scalar metric is declared once, as one row of the `metric_table!`
+//! invocation below.  A row names its snapshot field, kind, unit, Prometheus
+//! family and label; its doc comment is the help text.  The table generates
+//! the [`MetricsSnapshot`] and [`WalMetrics`] fields, the [`EngineMetrics`]
+//! atomics and their snapshot, [`MetricsSnapshot::delta_since`] and the
+//! [`METRICS`] descriptors that `/metrics` and `/snapshot` loop over, so a
+//! new counter is one row plus the increment site that feeds it.
 
 use olxp_trace::{SpanCategory, StageBreakdown};
 use parking_lot::Mutex;
+use std::slice;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Freshness observed by one analytical read at the moment it started.
@@ -22,39 +31,322 @@ pub struct FreshnessSample {
 /// unbounded runs cannot grow memory without limit.
 const FRESHNESS_SAMPLE_CAP: usize = 1 << 20;
 
-/// Durability counters of one engine, surfaced inside [`MetricsSnapshot`].
-///
-/// Populated by [`crate::HybridDatabase::metrics_snapshot`] from the live WAL
-/// when durability is enabled; all-zero for in-memory engines.  The counters
-/// accumulate over the engine's lifetime; the batch percentiles describe the
-/// full distribution of committers-per-fsync observed so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalMetrics {
-    /// WAL records appended.
-    pub appends: u64,
-    /// fsync calls issued by the WAL (commit syncs + segment rotations).
-    pub fsyncs: u64,
-    /// Bytes written to WAL segment files.
-    pub bytes_written: u64,
-    /// Commits acknowledged through a durability sync.
-    pub synced_commits: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Automatic checkpoints that failed (the WAL keeps the records, so a
-    /// failure costs disk space, not durability).
-    pub checkpoint_failures: u64,
-    /// Median group-commit batch size (committers per fsync).
-    pub group_batch_p50: u64,
-    /// 90th percentile group-commit batch size.
-    pub group_batch_p90: u64,
-    /// 99th percentile group-commit batch size.
-    pub group_batch_p99: u64,
-    /// Largest group-commit batch observed.
-    pub group_batch_max: u64,
-    /// Highest LSN assigned.
-    pub last_lsn: u64,
-    /// Highest LSN known durable.
-    pub durable_lsn: u64,
+/// Whether a metric accumulates or reports a level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricKind {
+    /// A running total: deltas subtract, Prometheus exports `<family>_total`.
+    Counter,
+    /// A level or lifetime value: deltas carry the newer value over.
+    Gauge,
+}
+
+/// How a metric's values are labelled in Prometheus.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricLabel {
+    /// One unlabelled value.
+    None,
+    /// One value per [`WorkClass`], labelled `class`; the `/snapshot` key is
+    /// prefixed with the class name (`oltp_statements`).
+    WorkClass,
+    /// One value under a fixed `name="value"` label: rows sharing a family
+    /// split one quantity, e.g. pruned chunks by reason.
+    Fixed(&'static str, &'static str),
+}
+
+impl MetricLabel {
+    /// The label of the `i`-th value of a row.
+    fn pair(self, i: usize) -> Option<(&'static str, &'static str)> {
+        match self {
+            MetricLabel::None => None,
+            MetricLabel::WorkClass => Some(("class", WorkClass::ALL[i].name())),
+            MetricLabel::Fixed(name, value) => Some((name, value)),
+        }
+    }
+}
+
+/// One row of the metric table.
+#[derive(Clone, Copy)]
+pub struct Metric {
+    /// The `/snapshot` key.
+    pub key: &'static str,
+    /// Counter or gauge.
+    pub kind: MetricKind,
+    /// Unit of the value.
+    pub unit: &'static str,
+    /// Prometheus family; rows sharing one are adjacent in [`METRICS`].
+    pub family: &'static str,
+    /// How the values are labelled.
+    pub label: MetricLabel,
+    /// True for numbers the service-time cost model produces rather than
+    /// measures.
+    pub modelled: bool,
+    doc: &'static str,
+    values: fn(&MetricsSnapshot) -> &[u64],
+    values_mut: fn(&mut MetricsSnapshot) -> &mut [u64],
+}
+
+impl Metric {
+    /// Help text: the row's doc comment, its unit and, for modelled rows,
+    /// a note that the number is not a measurement.
+    pub fn help(&self) -> String {
+        let modelled = if self.modelled {
+            " Modelled by the service-time cost model, not measured."
+        } else {
+            ""
+        };
+        format!("{} Unit: {}.{modelled}", self.doc.trim(), self.unit)
+    }
+
+    /// This row's values in `snapshot`: one, or one per work class.
+    pub fn values<'a>(&self, snapshot: &'a MetricsSnapshot) -> &'a [u64] {
+        (self.values)(snapshot)
+    }
+
+    // Builders for the rows of the table below.
+
+    const fn label(self, name: &'static str, value: &'static str) -> Metric {
+        Metric {
+            label: MetricLabel::Fixed(name, value),
+            ..self
+        }
+    }
+
+    const fn modelled(self) -> Metric {
+        Metric {
+            modelled: true,
+            ..self
+        }
+    }
+
+    /// Override the `/snapshot` key the macro derives from the field name.
+    const fn keyed(self, key: &'static str) -> Metric {
+        Metric { key, ..self }
+    }
+
+    /// Bind a row to its field: the default key, help text and accessors.
+    const fn bind(
+        self,
+        key: &'static str,
+        doc: &'static str,
+        values: fn(&MetricsSnapshot) -> &[u64],
+        values_mut: fn(&mut MetricsSnapshot) -> &mut [u64],
+    ) -> Metric {
+        Metric {
+            key: if self.key.is_empty() { key } else { self.key },
+            doc,
+            values,
+            values_mut,
+            ..self
+        }
+    }
+}
+
+const fn counter(family: &'static str, unit: &'static str) -> Metric {
+    Metric {
+        key: "",
+        kind: MetricKind::Counter,
+        unit,
+        family,
+        label: MetricLabel::None,
+        modelled: false,
+        doc: "",
+        values: |_| &[],
+        values_mut: |_| &mut [],
+    }
+}
+
+const fn gauge(family: &'static str, unit: &'static str) -> Metric {
+    Metric {
+        kind: MetricKind::Gauge,
+        ..counter(family, unit)
+    }
+}
+
+/// Expands the table into the snapshot structs, the engine's atomics and
+/// [`METRICS`].  `per_class` rows are `[u64; 4]` fields indexed by
+/// [`WorkClass`]; every other row is one `u64`.  `per_class` and `engine`
+/// rows are incremented by the engine, which holds an atomic for each
+/// value; `database` rows and `wal` rows (the fields of [`WalMetrics`],
+/// keyed `wal_<field>` by default) are filled in by
+/// [`crate::HybridDatabase::metrics_snapshot`].
+macro_rules! metric_table {
+    (
+        per_class { $( $(#[doc = $c_doc:literal])+ $c:ident = $c_spec:expr, )* }
+        engine { $( $(#[doc = $e_doc:literal])+ $e:ident = $e_spec:expr, )* }
+        database { $( $(#[doc = $d_doc:literal])+ $d:ident = $d_spec:expr, )* }
+        wal { $( $(#[doc = $w_doc:literal])+ $w:ident = $w_spec:expr, )* }
+    ) => {
+        /// A point-in-time copy of [`EngineMetrics`], completed with the
+        /// database's WAL, shard and columnar-footprint values.
+        #[derive(Debug, Clone, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $c_doc])+ pub $c: [u64; 4], )*
+            $( $(#[doc = $e_doc])+ pub $e: u64, )*
+            $( $(#[doc = $d_doc])+ pub $d: u64, )*
+            /// Durability counters (all-zero for in-memory engines).  On a
+            /// sharded engine these are aggregated across every shard's WAL
+            /// stream.
+            pub wal: WalMetrics,
+            /// Per-lifecycle-stage latency histograms (empty unless the engine
+            /// ran with [`crate::EngineConfig::tracing`] enabled).
+            pub stages: StageBreakdown,
+            /// Per-shard write-path counters, in shard order.  Empty when the
+            /// engine metrics were not sized for a shard breakdown.
+            pub per_shard: Vec<ShardBreakdown>,
+        }
+
+        /// Durability counters of one engine, surfaced inside
+        /// [`MetricsSnapshot`].
+        ///
+        /// Populated by [`crate::HybridDatabase::metrics_snapshot`] from the
+        /// live WAL when durability is enabled; all-zero for in-memory
+        /// engines.  The counters accumulate over the engine's lifetime; the
+        /// batch percentiles describe every fsync observed so far.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct WalMetrics {
+            $( $(#[doc = $w_doc])+ pub $w: u64, )*
+        }
+
+        /// Atomic counters maintained by the engine: one per value of the
+        /// `per_class` and `engine` rows, plus the freshness samples, stage
+        /// histograms and per-shard counters.
+        #[derive(Debug, Default)]
+        pub struct EngineMetrics {
+            $( $c: [AtomicU64; 4], )*
+            $( $e: AtomicU64, )*
+            freshness_samples: Mutex<Vec<FreshnessSample>>,
+            /// Lifecycle-stage latency histograms, populated only while
+            /// tracing is enabled (one mutex hold per commit/operation, not
+            /// per stage).
+            stage: Mutex<StageBreakdown>,
+            /// Per-shard counters, sized by [`EngineMetrics::with_shards`];
+            /// empty vectors (the [`Default`]) disable the per-shard
+            /// breakdown.
+            shard_commits: Vec<AtomicU64>,
+            shard_lock_waits: Vec<AtomicU64>,
+            shard_lock_wait_nanos: Vec<AtomicU64>,
+        }
+
+        impl EngineMetrics {
+            fn load_into(&self, snapshot: &mut MetricsSnapshot) {
+                $( snapshot.$c = std::array::from_fn(|i| self.$c[i].load(Ordering::Relaxed)); )*
+                $( snapshot.$e = self.$e.load(Ordering::Relaxed); )*
+            }
+        }
+
+        /// The metric table: every scalar of [`MetricsSnapshot`], in export
+        /// order.
+        pub static METRICS: &[Metric] = &[
+            $( Metric { label: MetricLabel::WorkClass, ..$c_spec }
+                .bind(stringify!($c), concat!($($c_doc),+), |s| &s.$c, |s| &mut s.$c), )*
+            $( $e_spec.bind(stringify!($e), concat!($($e_doc),+),
+                |s| slice::from_ref(&s.$e), |s| slice::from_mut(&mut s.$e)), )*
+            $( $d_spec.bind(stringify!($d), concat!($($d_doc),+),
+                |s| slice::from_ref(&s.$d), |s| slice::from_mut(&mut s.$d)), )*
+            $( $w_spec.bind(concat!("wal_", stringify!($w)), concat!($($w_doc),+),
+                |s| slice::from_ref(&s.wal.$w), |s| slice::from_mut(&mut s.wal.$w)), )*
+        ];
+    };
+}
+
+metric_table! {
+    per_class {
+        /// Simulated service time, per work class.
+        busy_nanos = counter("olxp_busy_nanos", "nanoseconds").modelled(),
+        /// Time spent queueing for the simulated node workers, per work class.
+        queue_wait_nanos = counter("olxp_queue_wait_nanos", "nanoseconds").modelled(),
+        /// Statements executed, per work class.
+        statements = counter("olxp_statements", "statements"),
+    }
+    engine {
+        /// Transactions committed through the engine.
+        commits = counter("olxp_commits", "transactions"),
+        /// Transactions aborted through the engine.
+        aborts = counter("olxp_aborts", "transactions"),
+        /// Physical rows scanned from row stores.
+        row_rows_scanned = counter("olxp_row_rows_scanned", "rows"),
+        /// Physical rows scanned from column stores.
+        col_rows_scanned = counter("olxp_col_rows_scanned", "rows"),
+        /// Column-store chunks whose rows were actually scanned.
+        chunks_scanned = counter("olxp_chunks_scanned", "chunks"),
+        /// Column-store chunks skipped before row access, by reason; zonemap:
+        /// the zone maps (min/max and live counts) proved no row could match.
+        chunks_pruned_zonemap = counter("olxp_chunks_pruned", "chunks").label("reason", "zonemap"),
+        /// Column-store chunks skipped before row access, by reason; filter:
+        /// a fingerprint filter ruled out an equality probe that survived the
+        /// zone maps.
+        chunks_pruned_filter = counter("olxp_chunks_pruned", "chunks").label("reason", "filter"),
+        /// Live rows in surviving compressed main-tier chunks that predicate
+        /// evaluation on the encoded columns deselected before decoding.
+        rows_pruned_encoded = counter("olxp_rows_pruned_encoded", "rows"),
+        /// Delta chunks the background compactor sealed into the compressed
+        /// main tier.
+        chunks_compacted = counter("olxp_chunks_compacted", "chunks"),
+        /// Column batches streamed through the vectorized query executor.
+        query_batches = counter("olxp_query_batches", "batches"),
+        /// Buffer-pool page misses.
+        buffer_misses = counter("olxp_buffer_misses", "pages").modelled(),
+        /// Replication log records applied to columnar replicas.
+        replication_applied = counter("olxp_replication_applied_records", "records"),
+        /// Replication apply attempts that failed (the records stay in the log
+        /// and are retried; a non-zero value means the replica fell behind).
+        replication_errors = counter("olxp_replication_errors", "attempts"),
+        /// Commits that required two-phase commit across partitions.
+        distributed_commits = counter("olxp_distributed_commits", "transactions"),
+        /// Freshness observations recorded by analytical reads.
+        freshness_observations = counter("olxp_freshness_observations", "reads"),
+        /// Freshness-bounded analytical reads that timed out waiting for the
+        /// replica; any growth means replication cannot hold the staleness
+        /// bound.
+        freshness_timeouts = counter("olxp_freshness_timeouts", "reads"),
+        /// Write-lock acquisitions across every shard's lock table.
+        lock_waits = counter("olxp_lock_waits", "acquisitions"),
+        /// Real time those write-lock acquisitions took, queueing included.
+        lock_wait_nanos = counter("olxp_lock_wait_nanos", "nanoseconds"),
+    }
+    database {
+        /// Hash-partitioned storage shards the engine runs with.
+        shards = gauge("olxp_shards", "shards"),
+        /// Columnar replica footprint, by tier; resident: bytes held now,
+        /// encoded main chunks plus the plain delta tails.
+        col_bytes_resident = gauge("olxp_columnar_bytes", "bytes").label("tier", "resident"),
+        /// Columnar replica footprint, by tier; plain: bytes the same data
+        /// would occupy with every tier unencoded.
+        col_bytes_plain = gauge("olxp_columnar_bytes", "bytes").label("tier", "plain"),
+    }
+    wal {
+        /// WAL records appended across every shard stream.
+        appends = counter("olxp_wal_appends", "records"),
+        /// fsync calls issued by the WAL streams (commit syncs and segment
+        /// rotations).
+        fsyncs = counter("olxp_wal_fsyncs", "calls"),
+        /// Bytes written to WAL segment files.
+        bytes_written = counter("olxp_wal_written_bytes", "bytes"),
+        /// Commits acknowledged through a durability sync.
+        synced_commits = counter("olxp_wal_synced_commits", "transactions"),
+        /// Checkpoints taken.
+        checkpoints = counter("olxp_checkpoints", "checkpoints").keyed("checkpoints"),
+        /// Automatic checkpoints that failed (the WAL keeps the records, so a
+        /// failure costs disk space, not durability).
+        checkpoint_failures =
+            counter("olxp_checkpoint_failures", "checkpoints").keyed("checkpoint_failures"),
+        /// Group-commit batch size (committers per fsync) over the engine's
+        /// lifetime, by quantile; 0.5: the median, largest on any shard.
+        group_batch_p50 = gauge("olxp_wal_group_batch", "commits").label("quantile", "0.5"),
+        /// Group-commit batch size (committers per fsync) over the engine's
+        /// lifetime, by quantile; 0.9: the 90th percentile.
+        group_batch_p90 = gauge("olxp_wal_group_batch", "commits").label("quantile", "0.9"),
+        /// Group-commit batch size (committers per fsync) over the engine's
+        /// lifetime, by quantile; 0.99: the 99th percentile.
+        group_batch_p99 = gauge("olxp_wal_group_batch", "commits").label("quantile", "0.99"),
+        /// Group-commit batch size (committers per fsync) over the engine's
+        /// lifetime, by quantile; 1: the largest batch observed.
+        group_batch_max = gauge("olxp_wal_group_batch", "commits").label("quantile", "1"),
+        /// Highest LSN assigned, summed across shard streams.
+        last_lsn = gauge("olxp_wal_last_lsn", "records"),
+        /// Highest LSN known durable, summed across shard streams.
+        durable_lsn = gauge("olxp_wal_durable_lsn", "records"),
+    }
 }
 
 impl WalMetrics {
@@ -96,6 +388,16 @@ impl ShardBreakdown {
         }
         self.lock_wait_nanos as f64 / self.lock_waits as f64
     }
+
+    fn since(&self, then: &ShardBreakdown) -> ShardBreakdown {
+        ShardBreakdown {
+            commits: self.commits.saturating_sub(then.commits),
+            lock_waits: self.lock_waits.saturating_sub(then.lock_waits),
+            lock_wait_nanos: self.lock_wait_nanos.saturating_sub(then.lock_wait_nanos),
+            wal_appends: self.wal_appends.saturating_sub(then.wal_appends),
+            wal_fsyncs: self.wal_fsyncs.saturating_sub(then.wal_fsyncs),
+        }
+    }
 }
 
 /// Classification of work for accounting purposes.
@@ -112,13 +414,16 @@ pub enum WorkClass {
 }
 
 impl WorkClass {
+    /// Every class, in the index order of the per-class arrays.
+    pub const ALL: [WorkClass; 4] = [
+        WorkClass::Oltp,
+        WorkClass::Olap,
+        WorkClass::Hybrid,
+        WorkClass::Load,
+    ];
+
     fn index(self) -> usize {
-        match self {
-            WorkClass::Oltp => 0,
-            WorkClass::Olap => 1,
-            WorkClass::Hybrid => 2,
-            WorkClass::Load => 3,
-        }
+        self as usize
     }
 
     /// Display name.
@@ -132,114 +437,26 @@ impl WorkClass {
     }
 }
 
-/// Atomic counters maintained by the engine.
-#[derive(Debug, Default)]
-pub struct EngineMetrics {
-    busy_nanos: [AtomicU64; 4],
-    queue_wait_nanos: [AtomicU64; 4],
-    statements: [AtomicU64; 4],
-    commits: AtomicU64,
-    aborts: AtomicU64,
-    row_rows_scanned: AtomicU64,
-    col_rows_scanned: AtomicU64,
-    chunks_scanned: AtomicU64,
-    chunks_pruned_zonemap: AtomicU64,
-    chunks_pruned_filter: AtomicU64,
-    rows_pruned_encoded: AtomicU64,
-    chunks_compacted: AtomicU64,
-    query_batches: AtomicU64,
-    buffer_misses: AtomicU64,
-    replication_applied: AtomicU64,
-    replication_errors: AtomicU64,
-    distributed_commits: AtomicU64,
-    freshness_observations: AtomicU64,
-    freshness_timeouts: AtomicU64,
-    freshness_samples: Mutex<Vec<FreshnessSample>>,
-    lock_waits: AtomicU64,
-    lock_wait_nanos: AtomicU64,
-    /// Lifecycle-stage latency histograms, populated only while tracing is
-    /// enabled (one mutex hold per commit/operation, not per stage).
-    stage: Mutex<StageBreakdown>,
-    /// Per-shard counters, sized by [`EngineMetrics::with_shards`]; empty
-    /// vectors (the [`Default`]) disable the per-shard breakdown.
-    shard_commits: Vec<AtomicU64>,
-    shard_lock_waits: Vec<AtomicU64>,
-    shard_lock_wait_nanos: Vec<AtomicU64>,
+/// One exported value of a snapshot: its table row, label and value.
+#[derive(Clone, Copy)]
+pub struct Sample {
+    /// The table row.
+    pub metric: &'static Metric,
+    /// The value's Prometheus label, if the row has one.
+    pub label: Option<(&'static str, &'static str)>,
+    /// The value.
+    pub value: u64,
 }
 
-/// A point-in-time copy of [`EngineMetrics`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Simulated service nanoseconds, per work class `[oltp, olap, hybrid, load]`.
-    pub busy_nanos: [u64; 4],
-    /// Real nanoseconds spent queueing for node workers, per work class.
-    pub queue_wait_nanos: [u64; 4],
-    /// Statements executed, per work class.
-    pub statements: [u64; 4],
-    /// Transactions committed through the engine.
-    pub commits: u64,
-    /// Transactions aborted through the engine.
-    pub aborts: u64,
-    /// Physical rows scanned from row stores.
-    pub row_rows_scanned: u64,
-    /// Physical rows scanned from column stores.
-    pub col_rows_scanned: u64,
-    /// Column-store chunks whose rows were actually scanned.
-    pub chunks_scanned: u64,
-    /// Column-store chunks skipped because their zone maps (min/max + live
-    /// counts) proved no row could match the scan predicate.
-    pub chunks_pruned_zonemap: u64,
-    /// Column-store chunks skipped because a per-chunk fingerprint filter
-    /// ruled out an equality probe that survived the zone maps.
-    pub chunks_pruned_filter: u64,
-    /// Live rows in surviving compressed main-tier chunks that predicate
-    /// evaluation on the encoded columns deselected before decoding.
-    pub rows_pruned_encoded: u64,
-    /// Delta chunks the background compactor sealed into the compressed main
-    /// tier.
-    pub chunks_compacted: u64,
-    /// Column batches streamed through the vectorized query executor.
-    pub query_batches: u64,
-    /// Buffer-pool page misses.
-    pub buffer_misses: u64,
-    /// Replication log records applied to columnar replicas.
-    pub replication_applied: u64,
-    /// Replication apply attempts that failed (the records are retained in
-    /// the log and retried; a non-zero value means the replica fell behind).
-    pub replication_errors: u64,
-    /// Commits that required two-phase commit across partitions.
-    pub distributed_commits: u64,
-    /// Freshness observations recorded by analytical reads.
-    pub freshness_observations: u64,
-    /// Freshness-bounded analytical reads that gave up waiting for the
-    /// replica and failed with a timeout — a key SLO health signal: any
-    /// growth means the replication pipeline cannot hold the configured
-    /// staleness bound.
-    pub freshness_timeouts: u64,
-    /// Durability counters (all-zero for in-memory engines; see
-    /// [`WalMetrics`]).  On a sharded engine these are aggregated across
-    /// every shard's WAL stream.
-    pub wal: WalMetrics,
-    /// Number of hash-partitioned storage shards the engine runs with
-    /// (filled in by [`crate::HybridDatabase::metrics_snapshot`]).
-    pub shards: u64,
-    /// Bytes currently resident across every columnar replica: encoded main
-    /// chunks plus the plain delta tails.  A gauge filled in by
-    /// [`crate::HybridDatabase::metrics_snapshot`], not a counter.
-    pub col_bytes_resident: u64,
-    /// Bytes the same columnar data would occupy with every tier unencoded
-    /// (gauge, filled like [`MetricsSnapshot::col_bytes_resident`]).
-    pub col_bytes_plain: u64,
-    /// Write-lock acquisitions across every shard's lock table.
-    pub lock_waits: u64,
-    /// Real nanoseconds those acquisitions took.
-    pub lock_wait_nanos: u64,
-    /// Per-lifecycle-stage latency histograms (empty unless the engine ran
-    /// with [`crate::EngineConfig::tracing`] enabled).
-    pub stages: StageBreakdown,
-    /// Per-shard write-path counters, in shard order.  Empty when the engine
-    /// metrics were not sized for a shard breakdown.
-    pub per_shard: Vec<ShardBreakdown>,
+impl Sample {
+    /// The `/snapshot` key: the row's key, prefixed with the class name for
+    /// per-class rows.
+    pub fn key(&self) -> String {
+        match (self.metric.label, self.label) {
+            (MetricLabel::WorkClass, Some((_, class))) => format!("{class}_{}", self.metric.key),
+            _ => self.metric.key.to_string(),
+        }
+    }
 }
 
 impl MetricsSnapshot {
@@ -262,93 +479,43 @@ impl MetricsSnapshot {
         self.col_bytes_plain as f64 / self.col_bytes_resident as f64
     }
 
-    /// Difference between two snapshots (`self - earlier`), element-wise.
+    /// Every table value of this snapshot, in [`METRICS`] order.
+    pub fn samples(&self) -> impl Iterator<Item = Sample> + '_ {
+        METRICS.iter().flat_map(move |metric| {
+            metric
+                .values(self)
+                .iter()
+                .enumerate()
+                .map(move |(i, &value)| Sample {
+                    metric,
+                    label: metric.label.pair(i),
+                    value,
+                })
+        })
+    }
+
+    /// Difference between two snapshots (`self - earlier`): counters
+    /// subtract, gauges and lifetime WAL values keep the newer value.
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for i in 0..4 {
-            out.busy_nanos[i] = self.busy_nanos[i].saturating_sub(earlier.busy_nanos[i]);
-            out.queue_wait_nanos[i] =
-                self.queue_wait_nanos[i].saturating_sub(earlier.queue_wait_nanos[i]);
-            out.statements[i] = self.statements[i].saturating_sub(earlier.statements[i]);
+        let mut out = MetricsSnapshot {
+            stages: self.stages.since(&earlier.stages),
+            per_shard: self
+                .per_shard
+                .iter()
+                .enumerate()
+                .map(|(i, now)| now.since(&earlier.per_shard.get(i).copied().unwrap_or_default()))
+                .collect(),
+            ..MetricsSnapshot::default()
+        };
+        for metric in METRICS {
+            let pairs = metric.values(self).iter().zip(metric.values(earlier));
+            for (value, (now, then)) in (metric.values_mut)(&mut out).iter_mut().zip(pairs) {
+                *value = match metric.kind {
+                    MetricKind::Counter => now.saturating_sub(*then),
+                    MetricKind::Gauge => *now,
+                };
+            }
         }
-        out.commits = self.commits.saturating_sub(earlier.commits);
-        out.aborts = self.aborts.saturating_sub(earlier.aborts);
-        out.row_rows_scanned = self
-            .row_rows_scanned
-            .saturating_sub(earlier.row_rows_scanned);
-        out.col_rows_scanned = self
-            .col_rows_scanned
-            .saturating_sub(earlier.col_rows_scanned);
-        out.chunks_scanned = self.chunks_scanned.saturating_sub(earlier.chunks_scanned);
-        out.chunks_pruned_zonemap = self
-            .chunks_pruned_zonemap
-            .saturating_sub(earlier.chunks_pruned_zonemap);
-        out.chunks_pruned_filter = self
-            .chunks_pruned_filter
-            .saturating_sub(earlier.chunks_pruned_filter);
-        out.rows_pruned_encoded = self
-            .rows_pruned_encoded
-            .saturating_sub(earlier.rows_pruned_encoded);
-        out.chunks_compacted = self
-            .chunks_compacted
-            .saturating_sub(earlier.chunks_compacted);
-        out.query_batches = self.query_batches.saturating_sub(earlier.query_batches);
-        out.buffer_misses = self.buffer_misses.saturating_sub(earlier.buffer_misses);
-        out.replication_applied = self
-            .replication_applied
-            .saturating_sub(earlier.replication_applied);
-        out.replication_errors = self
-            .replication_errors
-            .saturating_sub(earlier.replication_errors);
-        out.freshness_observations = self
-            .freshness_observations
-            .saturating_sub(earlier.freshness_observations);
-        out.freshness_timeouts = self
-            .freshness_timeouts
-            .saturating_sub(earlier.freshness_timeouts);
-        out.distributed_commits = self
-            .distributed_commits
-            .saturating_sub(earlier.distributed_commits);
-        out.lock_waits = self.lock_waits.saturating_sub(earlier.lock_waits);
-        out.lock_wait_nanos = self.lock_wait_nanos.saturating_sub(earlier.lock_wait_nanos);
-        out.stages = self.stages.since(&earlier.stages);
-        out.per_shard = self
-            .per_shard
-            .iter()
-            .enumerate()
-            .map(|(i, now)| {
-                let then = earlier.per_shard.get(i).copied().unwrap_or_default();
-                ShardBreakdown {
-                    commits: now.commits.saturating_sub(then.commits),
-                    lock_waits: now.lock_waits.saturating_sub(then.lock_waits),
-                    lock_wait_nanos: now.lock_wait_nanos.saturating_sub(then.lock_wait_nanos),
-                    wal_appends: now.wal_appends.saturating_sub(then.wal_appends),
-                    wal_fsyncs: now.wal_fsyncs.saturating_sub(then.wal_fsyncs),
-                }
-            })
-            .collect();
-        // WAL counters subtract; the percentiles and LSN watermarks are
-        // lifetime values, so the newer snapshot's are carried over, as are
-        // the resident-bytes gauges (a delta of gauges is meaningless).
-        out.shards = self.shards;
-        out.col_bytes_resident = self.col_bytes_resident;
-        out.col_bytes_plain = self.col_bytes_plain;
-        out.wal = self.wal;
-        out.wal.appends = self.wal.appends.saturating_sub(earlier.wal.appends);
-        out.wal.fsyncs = self.wal.fsyncs.saturating_sub(earlier.wal.fsyncs);
-        out.wal.bytes_written = self
-            .wal
-            .bytes_written
-            .saturating_sub(earlier.wal.bytes_written);
-        out.wal.synced_commits = self
-            .wal
-            .synced_commits
-            .saturating_sub(earlier.wal.synced_commits);
-        out.wal.checkpoints = self.wal.checkpoints.saturating_sub(earlier.wal.checkpoints);
-        out.wal.checkpoint_failures = self
-            .wal
-            .checkpoint_failures
-            .saturating_sub(earlier.wal.checkpoint_failures);
         out
     }
 }
@@ -420,20 +587,15 @@ impl EngineMetrics {
         pruned_filter: u64,
         rows_pruned_encoded: u64,
     ) {
-        if scanned > 0 {
-            self.chunks_scanned.fetch_add(scanned, Ordering::Relaxed);
-        }
-        if pruned_zonemap > 0 {
-            self.chunks_pruned_zonemap
-                .fetch_add(pruned_zonemap, Ordering::Relaxed);
-        }
-        if pruned_filter > 0 {
-            self.chunks_pruned_filter
-                .fetch_add(pruned_filter, Ordering::Relaxed);
-        }
-        if rows_pruned_encoded > 0 {
-            self.rows_pruned_encoded
-                .fetch_add(rows_pruned_encoded, Ordering::Relaxed);
+        for (counter, n) in [
+            (&self.chunks_scanned, scanned),
+            (&self.chunks_pruned_zonemap, pruned_zonemap),
+            (&self.chunks_pruned_filter, pruned_filter),
+            (&self.rows_pruned_encoded, rows_pruned_encoded),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
         }
     }
 
@@ -533,38 +695,11 @@ impl EngineMetrics {
         self.stage.lock().clone()
     }
 
-    /// Take a snapshot of every counter.
+    /// Take a snapshot of every counter.  The WAL, shard layout and columnar
+    /// footprint live on the database, which fills them in
+    /// ([`crate::HybridDatabase::metrics_snapshot`]).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let read = |arr: &[AtomicU64; 4]| {
-            [
-                arr[0].load(Ordering::Relaxed),
-                arr[1].load(Ordering::Relaxed),
-                arr[2].load(Ordering::Relaxed),
-                arr[3].load(Ordering::Relaxed),
-            ]
-        };
-        MetricsSnapshot {
-            busy_nanos: read(&self.busy_nanos),
-            queue_wait_nanos: read(&self.queue_wait_nanos),
-            statements: read(&self.statements),
-            commits: self.commits.load(Ordering::Relaxed),
-            aborts: self.aborts.load(Ordering::Relaxed),
-            row_rows_scanned: self.row_rows_scanned.load(Ordering::Relaxed),
-            col_rows_scanned: self.col_rows_scanned.load(Ordering::Relaxed),
-            chunks_scanned: self.chunks_scanned.load(Ordering::Relaxed),
-            chunks_pruned_zonemap: self.chunks_pruned_zonemap.load(Ordering::Relaxed),
-            chunks_pruned_filter: self.chunks_pruned_filter.load(Ordering::Relaxed),
-            rows_pruned_encoded: self.rows_pruned_encoded.load(Ordering::Relaxed),
-            chunks_compacted: self.chunks_compacted.load(Ordering::Relaxed),
-            query_batches: self.query_batches.load(Ordering::Relaxed),
-            buffer_misses: self.buffer_misses.load(Ordering::Relaxed),
-            replication_applied: self.replication_applied.load(Ordering::Relaxed),
-            replication_errors: self.replication_errors.load(Ordering::Relaxed),
-            distributed_commits: self.distributed_commits.load(Ordering::Relaxed),
-            freshness_observations: self.freshness_observations.load(Ordering::Relaxed),
-            freshness_timeouts: self.freshness_timeouts.load(Ordering::Relaxed),
-            lock_waits: self.lock_waits.load(Ordering::Relaxed),
-            lock_wait_nanos: self.lock_wait_nanos.load(Ordering::Relaxed),
+        let mut snapshot = MetricsSnapshot {
             stages: self.stage.lock().clone(),
             per_shard: self
                 .shard_commits
@@ -575,26 +710,199 @@ impl EngineMetrics {
                     commits: commits.load(Ordering::Relaxed),
                     lock_waits: waits.load(Ordering::Relaxed),
                     lock_wait_nanos: wait_nanos.load(Ordering::Relaxed),
-                    // Per-shard WAL counters live on the database's streams;
-                    // `HybridDatabase::metrics_snapshot` fills them in.
-                    wal_appends: 0,
-                    wal_fsyncs: 0,
+                    ..ShardBreakdown::default()
                 })
                 .collect(),
-            // The WAL, shard layout and columnar footprint live on the
-            // database, not here; `HybridDatabase::metrics_snapshot` fills
-            // these in.
-            wal: WalMetrics::default(),
-            shards: 0,
-            col_bytes_resident: 0,
-            col_bytes_plain: 0,
-        }
+            ..MetricsSnapshot::default()
+        };
+        self.load_into(&mut snapshot);
+        snapshot
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::{render_prometheus, render_snapshot_json};
+    use crate::{HybridDatabase, TelemetryPoint, TimeSeriesRing};
+    use serde::Value;
+
+    /// Prometheus families the `/metrics` exporter emitted before the metric
+    /// table existed.
+    const LEGACY_FAMILIES: &[&str] = &[
+        "olxp_up",
+        "olxp_commits_total",
+        "olxp_aborts_total",
+        "olxp_statements_total",
+        "olxp_replication_applied_records_total",
+        "olxp_replication_errors_total",
+        "olxp_freshness_timeouts_total",
+        "olxp_wal_appends_total",
+        "olxp_wal_fsyncs_total",
+        "olxp_wal_written_bytes_total",
+        "olxp_checkpoints_total",
+        "olxp_chunks_scanned_total",
+        "olxp_chunks_pruned_total",
+        "olxp_chunks_compacted_total",
+        "olxp_shards",
+        "olxp_replication_lag_records",
+        "olxp_columnar_bytes",
+        "olxp_stage_nanos",
+    ];
+
+    /// `/snapshot` keys emitted before the metric table existed.
+    const LEGACY_SNAPSHOT_KEYS: &[&str] = &[
+        "uptime_ms",
+        "commits",
+        "aborts",
+        "oltp_statements",
+        "olap_statements",
+        "hybrid_statements",
+        "load_statements",
+        "replication_applied",
+        "replication_errors",
+        "replication_lag_records",
+        "freshness_observations",
+        "freshness_timeouts",
+        "distributed_commits",
+        "wal_appends",
+        "wal_fsyncs",
+        "wal_bytes_written",
+        "wal_last_lsn",
+        "wal_durable_lsn",
+        "checkpoints",
+        "chunks_scanned",
+        "chunks_pruned_zonemap",
+        "chunks_pruned_filter",
+        "chunks_compacted",
+        "shards",
+        "col_bytes_resident",
+        "col_bytes_plain",
+        "slow_txns",
+        "slow_queries",
+    ];
+
+    /// Per-point `/timeseries` keys emitted before the metric table existed.
+    const LEGACY_TIMESERIES_KEYS: &[&str] = &[
+        "t_ms",
+        "interval_ms",
+        "commits",
+        "aborts",
+        "oltp_statements",
+        "olap_statements",
+        "hybrid_statements",
+        "replication_applied",
+        "replication_errors",
+        "replication_lag",
+        "wal_appends",
+        "wal_fsyncs",
+        "wal_bytes",
+        "chunks_compacted",
+        "chunks_scanned",
+        "chunks_pruned",
+        "freshness_timeouts",
+        "commit_tps",
+        "abort_rate",
+        "commit_p50_us",
+        "commit_p95_us",
+        "freshness_p50_us",
+        "freshness_p95_us",
+    ];
+
+    fn parse(json: &str) -> Value {
+        serde_json::from_str(json).expect("exporter JSON parses")
+    }
+
+    fn reads(value: Option<&Value>, expected: u64) -> bool {
+        matches!(value, Some(Value::I64(v)) if *v as u64 == expected)
+    }
+
+    #[test]
+    fn metric_table_reaches_every_exporter() {
+        let db = HybridDatabase::dual_engine();
+        // Every table value gets its own number; `later` adds 7 to each.
+        let mut earlier = MetricsSnapshot::default();
+        let mut next = 0;
+        for metric in METRICS {
+            for value in (metric.values_mut)(&mut earlier) {
+                next += 1_000;
+                *value = next;
+            }
+        }
+        let mut later = earlier.clone();
+        for metric in METRICS {
+            for value in (metric.values_mut)(&mut later) {
+                *value += 7;
+            }
+        }
+        later.stages.record(SpanCategory::Commit, 2_000);
+        let delta = later.delta_since(&earlier);
+        let prometheus = render_prometheus(&db, &later);
+        let snapshot = parse(&render_snapshot_json(&db, &later));
+
+        for (sample, diff) in later.samples().zip(delta.samples()) {
+            let metric = sample.metric;
+            let name = match metric.kind {
+                MetricKind::Counter => format!("{}_total", metric.family),
+                MetricKind::Gauge => metric.family.to_string(),
+            };
+            let labels = match sample.label {
+                Some((k, v)) => format!("{{{k}=\"{v}\"}}"),
+                None => String::new(),
+            };
+            let line = format!("{name}{labels} {}", sample.value);
+            assert!(
+                prometheus.lines().any(|l| l == line),
+                "/metrics lacks `{line}`"
+            );
+            assert_eq!(
+                prometheus.matches(&format!("# TYPE {name} ")).count(),
+                1,
+                "{name} is one family"
+            );
+            let key = sample.key();
+            assert!(
+                reads(snapshot.get(&key), sample.value),
+                "/snapshot lacks {key}={}",
+                sample.value
+            );
+            let expected = match metric.kind {
+                MetricKind::Counter => 7,
+                MetricKind::Gauge => sample.value,
+            };
+            assert_eq!(diff.value, expected, "delta_since of {key}");
+            assert_eq!(metric.modelled, metric.help().contains("Modelled"), "{key}");
+        }
+        let modelled: Vec<&str> = METRICS
+            .iter()
+            .filter(|m| m.modelled)
+            .map(|m| m.key)
+            .collect();
+        assert_eq!(
+            modelled,
+            ["busy_nanos", "queue_wait_nanos", "buffer_misses"]
+        );
+
+        for family in LEGACY_FAMILIES {
+            assert!(
+                prometheus.contains(&format!("# TYPE {family} ")),
+                "/metrics lost {family}"
+            );
+        }
+        for key in LEGACY_SNAPSHOT_KEYS {
+            assert!(snapshot.get(key).is_some(), "/snapshot lost {key}");
+        }
+        let mut ring = TimeSeriesRing::with_capacity(1);
+        ring.push(TelemetryPoint::from_delta(250, 250, &delta, 3));
+        let timeseries = parse(&ring.to_json());
+        let point = &timeseries
+            .get("points")
+            .and_then(|p| p.as_seq())
+            .expect("points")[0];
+        for key in LEGACY_TIMESERIES_KEYS {
+            assert!(point.get(key).is_some(), "/timeseries lost {key}");
+        }
+    }
 
     #[test]
     fn counters_accumulate_per_class() {

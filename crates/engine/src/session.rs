@@ -607,7 +607,9 @@ impl Session {
         key: Key,
         row: Option<Row>,
     ) {
-        handle.partitions.insert(self.db.partition_for(table, &key));
+        handle
+            .partitions
+            .insert(self.db.cluster().partition_for(table, &key));
         self.charge_write_statement(handle, table);
         let table = table.to_string();
         handle.txn.write_set_mut().push(WalOp {

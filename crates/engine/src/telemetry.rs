@@ -21,13 +21,15 @@
 //! [`HybridDatabase`]'s drop shuts them down explicitly first.
 
 use crate::database::HybridDatabase;
-use crate::metrics::MetricsSnapshot;
+use crate::metrics::{MetricKind, MetricsSnapshot, Sample};
+use crate::timeseries::{TelemetryPoint, TimeSeriesRing};
 use olxp_storage::SyncPolicy;
 use olxp_trace::{
     prometheus_counter, prometheus_gauge, prometheus_histogram, Handler, HttpResponse,
-    LogHistogram, SpanCategory, TelemetryPoint, TelemetryServer, TimeSeriesRing,
+    LogHistogram, TelemetryServer,
 };
 use parking_lot::Mutex;
+use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
@@ -68,12 +70,12 @@ impl TelemetryState {
 
     /// Copy of every retained timeline point, oldest first.
     pub fn timeline(&self) -> Vec<TelemetryPoint> {
-        self.ring.lock().points().to_vec()
+        self.ring.lock().points()
     }
 
     /// Copy of the retained points sampled at or after `t_ms`.
     pub fn timeline_since(&self, t_ms: u64) -> Vec<TelemetryPoint> {
-        self.ring.lock().points_since(t_ms).to_vec()
+        self.ring.lock().points_since(t_ms)
     }
 
     /// The ring rendered as a JSON document (the `/timeseries` body).
@@ -145,7 +147,7 @@ pub(crate) fn spawn_sampler(db: &Arc<HybridDatabase>) -> TelemetrySampler {
                 && now.wal.last_lsn > now.wal.durable_lsn
                 && now.wal.durable_lsn == prev.wal.durable_lsn;
             state.wal_stalled.store(stalled, Ordering::Relaxed);
-            state.push(sample_point(
+            state.push(TelemetryPoint::from_delta(
                 t_ms,
                 t_ms.saturating_sub(prev_t).max(1),
                 &delta,
@@ -165,47 +167,6 @@ pub(crate) fn spawn_sampler(db: &Arc<HybridDatabase>) -> TelemetrySampler {
     }
 }
 
-/// Build one timeline point from an interval's metrics delta.
-fn sample_point(
-    t_ms: u64,
-    interval_ms: u64,
-    delta: &MetricsSnapshot,
-    replication_lag: u64,
-) -> TelemetryPoint {
-    let p_us = |hist: &LogHistogram, q: f64| -> f64 {
-        if hist.is_empty() {
-            0.0
-        } else {
-            hist.value_at_quantile(q) as f64 / 1_000.0
-        }
-    };
-    let commit = delta.stages.get(SpanCategory::Commit);
-    let freshness = delta.stages.get(SpanCategory::FreshnessWait);
-    TelemetryPoint {
-        t_ms,
-        interval_ms,
-        commits: delta.commits,
-        aborts: delta.aborts,
-        oltp_statements: delta.statements[0],
-        olap_statements: delta.statements[1],
-        hybrid_statements: delta.statements[2],
-        replication_applied: delta.replication_applied,
-        replication_errors: delta.replication_errors,
-        replication_lag,
-        wal_appends: delta.wal.appends,
-        wal_fsyncs: delta.wal.fsyncs,
-        wal_bytes: delta.wal.bytes_written,
-        chunks_compacted: delta.chunks_compacted,
-        chunks_scanned: delta.chunks_scanned,
-        chunks_pruned: delta.chunks_pruned_zonemap + delta.chunks_pruned_filter,
-        freshness_timeouts: delta.freshness_timeouts,
-        commit_p50_us: p_us(commit, 0.50),
-        commit_p95_us: p_us(commit, 0.95),
-        freshness_p50_us: p_us(freshness, 0.50),
-        freshness_p95_us: p_us(freshness, 0.95),
-    }
-}
-
 /// Bind the embedded HTTP listener on `addr` and route the four telemetry
 /// endpoints to `db` (held weakly: scrapes after the database is gone get
 /// 503, and the listener never keeps the engine alive).
@@ -222,13 +183,15 @@ pub(crate) fn handler_for(db: &Arc<HybridDatabase>) -> Handler {
             return HttpResponse::json(503, "{\"error\":\"database is shut down\"}");
         };
         match path {
-            "/metrics" => HttpResponse::text(200, render_prometheus(&db)),
+            "/metrics" => HttpResponse::text(200, render_prometheus(&db, &db.metrics_snapshot())),
             "/healthz" => {
                 let report = health_report(&db);
                 let status = if report.healthy() { 200 } else { 503 };
                 HttpResponse::json(status, report.to_json())
             }
-            "/snapshot" => HttpResponse::json(200, render_snapshot_json(&db)),
+            "/snapshot" => {
+                HttpResponse::json(200, render_snapshot_json(&db, &db.metrics_snapshot()))
+            }
             "/timeseries" => HttpResponse::json(200, db.telemetry_state().timeline_json()),
             other => HttpResponse::not_found(other),
         }
@@ -236,7 +199,7 @@ pub(crate) fn handler_for(db: &Arc<HybridDatabase>) -> Handler {
 }
 
 /// One SLO health check evaluated by `/healthz`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct HealthCheck {
     /// Stable check identifier (e.g. `replication_errors`).
     pub name: &'static str,
@@ -261,23 +224,10 @@ impl HealthReport {
 
     /// The `/healthz` JSON body.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"healthy\":");
-        out.push_str(if self.healthy() { "true" } else { "false" });
-        out.push_str(",\"checks\":[");
-        for (i, check) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"name\":");
-            out.push_str(&json_string(check.name));
-            out.push_str(",\"healthy\":");
-            out.push_str(if check.healthy { "true" } else { "false" });
-            out.push_str(",\"detail\":");
-            out.push_str(&json_string(&check.detail));
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        json(&Value::Map(vec![
+            ("healthy".to_string(), self.healthy().serialize()),
+            ("checks".to_string(), self.checks.serialize()),
+        ]))
     }
 }
 
@@ -355,117 +305,37 @@ pub fn health_report(db: &HybridDatabase) -> HealthReport {
     HealthReport { checks }
 }
 
-/// Render the full Prometheus text exposition for `/metrics`.
-pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
-    let s = db.metrics_snapshot();
-    let mut out = String::with_capacity(4096);
+/// Render the Prometheus text exposition for `/metrics`: every row of the
+/// metric table, one family per run of rows sharing a family name, plus
+/// liveness, replication lag and the stage histograms.
+pub(crate) fn render_prometheus(db: &HybridDatabase, s: &MetricsSnapshot) -> String {
+    let mut out = String::with_capacity(8192);
     prometheus_gauge(&mut out, "olxp_up", "Engine liveness.", &[(&[], 1.0)]);
-    prometheus_counter(
-        &mut out,
-        "olxp_commits",
-        "Transactions committed through the engine.",
-        &[(&[], s.commits as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_aborts",
-        "Transactions aborted through the engine.",
-        &[(&[], s.aborts as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_statements",
-        "Statements executed, by work class.",
-        &[
-            (&[("class", "oltp")], s.statements[0] as f64),
-            (&[("class", "olap")], s.statements[1] as f64),
-            (&[("class", "hybrid")], s.statements[2] as f64),
-            (&[("class", "load")], s.statements[3] as f64),
-        ],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_replication_applied_records",
-        "Replication log records applied to columnar replicas.",
-        &[(&[], s.replication_applied as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_replication_errors",
-        "Failed replication apply attempts.",
-        &[(&[], s.replication_errors as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_freshness_timeouts",
-        "Freshness-bounded analytical reads that timed out.",
-        &[(&[], s.freshness_timeouts as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_appends",
-        "WAL records appended across every shard stream.",
-        &[(&[], s.wal.appends as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_fsyncs",
-        "fsync calls issued by the WAL streams.",
-        &[(&[], s.wal.fsyncs as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_wal_written_bytes",
-        "Bytes written to WAL segment files.",
-        &[(&[], s.wal.bytes_written as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_checkpoints",
-        "Checkpoints taken.",
-        &[(&[], s.wal.checkpoints as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_scanned",
-        "Column-store chunks whose rows were scanned.",
-        &[(&[], s.chunks_scanned as f64)],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_pruned",
-        "Column-store chunks skipped before row access, by pruning mechanism.",
-        &[
-            (&[("reason", "zonemap")], s.chunks_pruned_zonemap as f64),
-            (&[("reason", "filter")], s.chunks_pruned_filter as f64),
-        ],
-    );
-    prometheus_counter(
-        &mut out,
-        "olxp_chunks_compacted",
-        "Delta chunks sealed into the compressed main tier.",
-        &[(&[], s.chunks_compacted as f64)],
-    );
-    prometheus_gauge(
-        &mut out,
-        "olxp_shards",
-        "Hash-partitioned storage shards.",
-        &[(&[], s.shards as f64)],
-    );
+    let samples: Vec<Sample> = s.samples().collect();
+    let mut rest = &samples[..];
+    while let Some(first) = rest.first() {
+        let metric = first.metric;
+        let len = rest
+            .iter()
+            .take_while(|sample| sample.metric.family == metric.family)
+            .count();
+        let (family, tail) = rest.split_at(len);
+        let series: Vec<(&[(&str, &str)], f64)> = family
+            .iter()
+            .map(|sample| (sample.label.as_slice(), sample.value as f64))
+            .collect();
+        let encode = match metric.kind {
+            MetricKind::Counter => prometheus_counter,
+            MetricKind::Gauge => prometheus_gauge,
+        };
+        encode(&mut out, metric.family, &metric.help(), &series);
+        rest = tail;
+    }
     prometheus_gauge(
         &mut out,
         "olxp_replication_lag_records",
         "Appended-but-unapplied replication records, summed across shards.",
         &[(&[], db.replication_lag() as f64)],
-    );
-    prometheus_gauge(
-        &mut out,
-        "olxp_columnar_bytes",
-        "Columnar replica footprint, resident (encoded) vs plain (unencoded).",
-        &[
-            (&[("tier", "resident")], s.col_bytes_resident as f64),
-            (&[("tier", "plain")], s.col_bytes_plain as f64),
-        ],
     );
     let stage_series: Vec<(&str, &LogHistogram)> = s
         .stages
@@ -482,87 +352,48 @@ pub(crate) fn render_prometheus(db: &HybridDatabase) -> String {
     out
 }
 
-/// Render the `/snapshot` JSON body: the full counter snapshot plus the
-/// retained slow-transaction and slow-query records (copied, not drained —
-/// scraping must never steal the benchmark report's data).
-pub(crate) fn render_snapshot_json(db: &HybridDatabase) -> String {
-    let s = db.metrics_snapshot();
-    let mut out = String::with_capacity(2048);
-    out.push('{');
-    push_field(&mut out, "uptime_ms", db.telemetry_state().elapsed_ms());
-    push_field(&mut out, "commits", s.commits);
-    push_field(&mut out, "aborts", s.aborts);
-    push_field(&mut out, "oltp_statements", s.statements[0]);
-    push_field(&mut out, "olap_statements", s.statements[1]);
-    push_field(&mut out, "hybrid_statements", s.statements[2]);
-    push_field(&mut out, "load_statements", s.statements[3]);
-    push_field(&mut out, "replication_applied", s.replication_applied);
-    push_field(&mut out, "replication_errors", s.replication_errors);
-    push_field(&mut out, "replication_lag_records", db.replication_lag());
-    push_field(&mut out, "freshness_observations", s.freshness_observations);
-    push_field(&mut out, "freshness_timeouts", s.freshness_timeouts);
-    push_field(&mut out, "distributed_commits", s.distributed_commits);
-    push_field(&mut out, "wal_appends", s.wal.appends);
-    push_field(&mut out, "wal_fsyncs", s.wal.fsyncs);
-    push_field(&mut out, "wal_bytes_written", s.wal.bytes_written);
-    push_field(&mut out, "wal_last_lsn", s.wal.last_lsn);
-    push_field(&mut out, "wal_durable_lsn", s.wal.durable_lsn);
-    push_field(&mut out, "checkpoints", s.wal.checkpoints);
-    push_field(&mut out, "chunks_scanned", s.chunks_scanned);
-    push_field(&mut out, "chunks_pruned_zonemap", s.chunks_pruned_zonemap);
-    push_field(&mut out, "chunks_pruned_filter", s.chunks_pruned_filter);
-    push_field(&mut out, "chunks_compacted", s.chunks_compacted);
-    push_field(&mut out, "shards", s.shards);
-    push_field(&mut out, "col_bytes_resident", s.col_bytes_resident);
-    push_field(&mut out, "col_bytes_plain", s.col_bytes_plain);
-    out.push_str("\"slow_txns\":[");
-    for (i, record) in db.slow_txn_log().records().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(&record.format()));
-    }
-    out.push_str("],\"slow_queries\":[");
-    for (i, record) in db.slow_query_log().records().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&json_string(&record.format()));
-    }
-    out.push_str("]}");
-    out
+/// Render the `/snapshot` JSON body: every value of the metric table under
+/// its key, plus uptime, replication lag and the retained slow-transaction
+/// and slow-query records (copied, not drained — scraping must never steal
+/// the benchmark report's data).
+pub(crate) fn render_snapshot_json(db: &HybridDatabase, s: &MetricsSnapshot) -> String {
+    let slow_txns: Vec<String> = db
+        .slow_txn_log()
+        .records()
+        .iter()
+        .map(|r| r.format())
+        .collect();
+    let slow_queries: Vec<String> = db
+        .slow_query_log()
+        .records()
+        .iter()
+        .map(|r| r.format())
+        .collect();
+    let mut fields = vec![(
+        "uptime_ms".to_string(),
+        db.telemetry_state().elapsed_ms().serialize(),
+    )];
+    fields.extend(
+        s.samples()
+            .map(|sample| (sample.key(), sample.value.serialize())),
+    );
+    fields.push((
+        "replication_lag_records".to_string(),
+        db.replication_lag().serialize(),
+    ));
+    fields.push(("slow_txns".to_string(), slow_txns.serialize()));
+    fields.push(("slow_queries".to_string(), slow_queries.serialize()));
+    json(&Value::Map(fields))
 }
 
-fn push_field(out: &mut String, name: &str, value: u64) {
-    out.push_str(&json_string(name));
-    out.push(':');
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-/// Minimal JSON string encoder for the hand-rolled bodies above.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+fn json(value: &Value) -> String {
+    serde_json::to_string(value).expect("a value tree always renders")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use olxp_trace::StageBreakdown;
+    use olxp_trace::{SpanCategory, StageBreakdown};
 
     #[test]
     fn sample_point_derives_interval_fields() {
@@ -580,7 +411,7 @@ mod tests {
         let mut stages = StageBreakdown::new();
         stages.record(SpanCategory::Commit, 2_000_000);
         delta.stages = stages;
-        let point = sample_point(1_250, 250, &delta, 9);
+        let point = TelemetryPoint::from_delta(1_250, 250, &delta, 9);
         assert_eq!(point.commits, 50);
         assert_eq!(point.oltp_statements, 100);
         assert_eq!(point.chunks_pruned, 7);
@@ -624,8 +455,9 @@ mod tests {
 
     #[test]
     fn json_strings_escape_control_characters() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        let string = |s: &str| json(&Value::Str(s.to_string()));
+        assert_eq!(string("plain"), "\"plain\"");
+        assert_eq!(string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string("\u{1}"), "\"\\u0001\"");
     }
 }

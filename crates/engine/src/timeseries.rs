@@ -1,23 +1,25 @@
-//! Fixed-capacity telemetry time series.
+//! Per-interval telemetry points and the bounded ring that holds them.
 //!
 //! The live telemetry sampler diffs consecutive engine metrics snapshots and
 //! appends one [`TelemetryPoint`] per sampling interval into a
 //! [`TimeSeriesRing`] — a bounded ring that keeps the newest points and
 //! counts what it had to drop, so a long-lived engine exposes a sliding
-//! window of its recent behaviour without growing memory.  Everything here is
-//! dependency-free: the JSON renderings are hand-rolled string builders over
-//! purely numeric fields, exactly like [`crate::chrome_trace_json`].
+//! window of its recent behaviour without growing memory.  The same point
+//! type is what benchmark results carry as their timeline.
 
+use crate::metrics::MetricsSnapshot;
+use olxp_trace::{LogHistogram, SpanCategory};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 
 /// One sampling interval of engine activity: counter deltas over the
 /// interval plus a few end-of-interval gauges.  Rates are derived, not
 /// stored, so a point stays mergeable with its neighbours by summation.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct TelemetryPoint {
-    /// Milliseconds since the sampler started, measured at the end of the
-    /// interval this point covers.
+    /// Milliseconds since the sampler started (in benchmark results: since
+    /// the driver started observing the run), at the end of the interval
+    /// this point covers.
     pub t_ms: u64,
     /// Actual length of the interval in milliseconds (the sampler aims for
     /// the configured cadence but records what really elapsed).
@@ -65,8 +67,45 @@ pub struct TelemetryPoint {
 }
 
 impl TelemetryPoint {
+    /// Build the point for one interval from that interval's metrics delta
+    /// and the replication lag at its end.
+    pub fn from_delta(
+        t_ms: u64,
+        interval_ms: u64,
+        delta: &MetricsSnapshot,
+        replication_lag: u64,
+    ) -> TelemetryPoint {
+        // An empty histogram reads 0 at every quantile.
+        let p_us = |hist: &LogHistogram, q: f64| hist.value_at_quantile(q) as f64 / 1_000.0;
+        let commit = delta.stages.get(SpanCategory::Commit);
+        let freshness = delta.stages.get(SpanCategory::FreshnessWait);
+        TelemetryPoint {
+            t_ms,
+            interval_ms,
+            commits: delta.commits,
+            aborts: delta.aborts,
+            oltp_statements: delta.statements[0],
+            olap_statements: delta.statements[1],
+            hybrid_statements: delta.statements[2],
+            replication_applied: delta.replication_applied,
+            replication_errors: delta.replication_errors,
+            replication_lag,
+            wal_appends: delta.wal.appends,
+            wal_fsyncs: delta.wal.fsyncs,
+            wal_bytes: delta.wal.bytes_written,
+            chunks_compacted: delta.chunks_compacted,
+            chunks_scanned: delta.chunks_scanned,
+            chunks_pruned: delta.chunks_pruned_zonemap + delta.chunks_pruned_filter,
+            freshness_timeouts: delta.freshness_timeouts,
+            commit_p50_us: p_us(commit, 0.50),
+            commit_p95_us: p_us(commit, 0.95),
+            freshness_p50_us: p_us(freshness, 0.50),
+            freshness_p95_us: p_us(freshness, 0.95),
+        }
+    }
+
     /// Events per second for a counter delta over this point's interval.
-    fn rate(&self, count: u64) -> f64 {
+    pub fn rate(&self, count: u64) -> f64 {
         if self.interval_ms == 0 {
             return 0.0;
         }
@@ -76,21 +115,6 @@ impl TelemetryPoint {
     /// Commit throughput over the interval (commits/s).
     pub fn commit_tps(&self) -> f64 {
         self.rate(self.commits)
-    }
-
-    /// Online-statement throughput over the interval (statements/s).
-    pub fn oltp_stmt_tps(&self) -> f64 {
-        self.rate(self.oltp_statements)
-    }
-
-    /// Analytical-statement throughput over the interval (statements/s).
-    pub fn olap_stmt_tps(&self) -> f64 {
-        self.rate(self.olap_statements)
-    }
-
-    /// Hybrid-statement throughput over the interval (statements/s).
-    pub fn hybrid_stmt_tps(&self) -> f64 {
-        self.rate(self.hybrid_statements)
     }
 
     /// Aborts as a fraction of commit attempts over the interval.
@@ -111,44 +135,15 @@ impl TelemetryPoint {
         self.chunks_pruned as f64 / eligible as f64
     }
 
-    /// Render this point as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        let _ = write!(
-            out,
-            "{{\"t_ms\":{},\"interval_ms\":{},\"commits\":{},\"aborts\":{},\
-             \"oltp_statements\":{},\"olap_statements\":{},\"hybrid_statements\":{},\
-             \"replication_applied\":{},\"replication_errors\":{},\"replication_lag\":{},\
-             \"wal_appends\":{},\"wal_fsyncs\":{},\"wal_bytes\":{},\
-             \"chunks_compacted\":{},\"chunks_scanned\":{},\"chunks_pruned\":{},\
-             \"freshness_timeouts\":{},\"commit_tps\":{:.1},\"abort_rate\":{:.4},\
-             \"commit_p50_us\":{:.1},\"commit_p95_us\":{:.1},\
-             \"freshness_p50_us\":{:.1},\"freshness_p95_us\":{:.1}}}",
-            self.t_ms,
-            self.interval_ms,
-            self.commits,
-            self.aborts,
-            self.oltp_statements,
-            self.olap_statements,
-            self.hybrid_statements,
-            self.replication_applied,
-            self.replication_errors,
-            self.replication_lag,
-            self.wal_appends,
-            self.wal_fsyncs,
-            self.wal_bytes,
-            self.chunks_compacted,
-            self.chunks_scanned,
-            self.chunks_pruned,
-            self.freshness_timeouts,
-            self.commit_tps(),
-            self.abort_rate(),
-            self.commit_p50_us,
-            self.commit_p95_us,
-            self.freshness_p50_us,
-            self.freshness_p95_us,
-        );
-        out
+    /// This point as a JSON object, with the derived commit rate and abort
+    /// rate added to the stored fields.
+    fn json_value(&self) -> Value {
+        let mut value = self.serialize();
+        if let Value::Map(fields) = &mut value {
+            fields.push(("commit_tps".to_string(), Value::F64(self.commit_tps())));
+            fields.push(("abort_rate".to_string(), Value::F64(self.abort_rate())));
+        }
+        value
     }
 }
 
@@ -187,7 +182,7 @@ impl TimeSeriesRing {
 
     /// Retained points, oldest first.
     pub fn points(&self) -> Vec<TelemetryPoint> {
-        self.points.iter().cloned().collect()
+        self.points.iter().copied().collect()
     }
 
     /// Retained points newer than (or at) `t_ms`, oldest first.
@@ -195,7 +190,7 @@ impl TimeSeriesRing {
         self.points
             .iter()
             .filter(|p| p.t_ms >= t_ms)
-            .cloned()
+            .copied()
             .collect()
     }
 
@@ -227,20 +222,15 @@ impl TimeSeriesRing {
     /// Render the ring as a JSON document:
     /// `{"capacity":N,"dropped":D,"points":[...]}`.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(64 + self.points.len() * 512);
-        let _ = write!(
-            out,
-            "{{\"capacity\":{},\"dropped\":{},\"points\":[",
-            self.capacity, self.dropped
-        );
-        for (i, point) in self.points.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&point.to_json());
-        }
-        out.push_str("]}");
-        out
+        let doc = Value::Map(vec![
+            ("capacity".to_string(), self.capacity.serialize()),
+            ("dropped".to_string(), self.dropped.serialize()),
+            (
+                "points".to_string(),
+                Value::Seq(self.points.iter().map(TelemetryPoint::json_value).collect()),
+            ),
+        ]);
+        serde_json::to_string(&doc).expect("a value tree always renders")
     }
 }
 

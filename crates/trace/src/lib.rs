@@ -16,9 +16,7 @@
 //!   and Prometheus text-exposition encoders for counters, gauges and
 //!   histogram series.
 //!
-//! On top of the spine sit the live-telemetry primitives: fixed-capacity
-//! time-series rings of per-interval sampling points ([`TimeSeriesRing`],
-//! [`TelemetryPoint`]) and a dependency-free embedded HTTP/1.1 listener
+//! On top of the spine sits a dependency-free embedded HTTP/1.1 listener
 //! ([`TelemetryServer`]) that serves whatever a caller-supplied handler
 //! routes — the engine mounts `/metrics`, `/healthz`, `/snapshot` and
 //! `/timeseries` on it.
@@ -28,7 +26,6 @@ mod export;
 mod hist;
 mod http;
 mod span;
-mod timeseries;
 
 pub use breakdown::StageBreakdown;
 pub use export::{
@@ -41,4 +38,3 @@ pub use span::{
     enabled, init_from_env, now_nanos, record_span, set_enabled, span, take_events, SpanCategory,
     SpanEvent, SpanGuard, TaggedSpan, ALL_CATEGORIES, ENV_TRACE,
 };
-pub use timeseries::{TelemetryPoint, TimeSeriesRing};
